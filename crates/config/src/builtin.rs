@@ -1,534 +1,104 @@
-//! Canonical manifests for every experiment of the paper's evaluation.
+//! The checked-in manifests, compiled in.
 //!
-//! Each builder produces exactly the matrix the corresponding pre-manifest
-//! experiment function hand-constructed — same benchmarks, co-runners,
-//! weights, protocols, machine overrides, and seed derivations — so a
-//! manifest-driven run is bit-identical to the legacy path. The checked-in
-//! files under `manifests/` are these builders at their default parameters,
-//! emitted in canonical form (`vmsim emit` regenerates them; golden tests
-//! pin the bytes).
+//! `manifests/*.json` is the single source of truth for every experiment of
+//! the paper's evaluation: this module embeds those files verbatim and
+//! parses them on demand, so `vmsim run table4` and `vmsim run
+//! manifests/table4.json` execute the same bytes. Tests that need a
+//! variant load a manifest by name and set `seeds` / `measure_ops` on it.
 
-use vmsim_types::FaultPlan;
-use vmsim_workloads::{BenchId, CoId};
+use crate::manifest::ExperimentManifest;
 
-use crate::manifest::{
-    ExperimentManifest, ExperimentSpec, MatrixSpec, PolicySpec, ReportKind, SimConfig,
-    SupervisorSpec, VmsSpec, WorkloadSpec,
-};
-use crate::obs::ObsConfig;
-use crate::DEFAULT_MEASURE_OPS;
+/// Every checked-in manifest as `(name, canonical JSON)`, in `manifests/`
+/// directory order. The name is the file stem and the manifest's `name`.
+const SOURCES: [(&str, &str); 20] = [
+    (
+        "ablate_besteffort",
+        include_str!("../../../manifests/ablate_besteffort.json"),
+    ),
+    (
+        "ablate_granularity",
+        include_str!("../../../manifests/ablate_granularity.json"),
+    ),
+    (
+        "breakdown",
+        include_str!("../../../manifests/breakdown.json"),
+    ),
+    (
+        "colocation",
+        include_str!("../../../manifests/colocation.json"),
+    ),
+    ("csv", include_str!("../../../manifests/csv.json")),
+    ("fig5", include_str!("../../../manifests/fig5.json")),
+    ("fig6", include_str!("../../../manifests/fig6.json")),
+    ("fig7", include_str!("../../../manifests/fig7.json")),
+    ("hw", include_str!("../../../manifests/hw.json")),
+    ("llc", include_str!("../../../manifests/llc.json")),
+    ("pressure", include_str!("../../../manifests/pressure.json")),
+    ("sec62", include_str!("../../../manifests/sec62.json")),
+    ("sec64", include_str!("../../../manifests/sec64.json")),
+    ("smoke", include_str!("../../../manifests/smoke.json")),
+    ("specint", include_str!("../../../manifests/specint.json")),
+    ("table1", include_str!("../../../manifests/table1.json")),
+    ("table4", include_str!("../../../manifests/table4.json")),
+    ("thp", include_str!("../../../manifests/thp.json")),
+    ("threads", include_str!("../../../manifests/threads.json")),
+    ("variance", include_str!("../../../manifests/variance.json")),
+];
 
-fn policies(names: &[&str]) -> Vec<PolicySpec> {
-    names.iter().map(|&n| PolicySpec::new(n)).collect()
+fn parse(name: &str, json: &str) -> ExperimentManifest {
+    ExperimentManifest::from_json(json)
+        .unwrap_or_else(|e| panic!("checked-in manifest {name} does not parse: {e}"))
 }
 
-fn matrix(
-    name: &str,
-    description: &str,
-    seeds: Vec<u64>,
-    measure_ops: u64,
-    report: ReportKind,
-    policy_names: &[&str],
-    workloads: Vec<WorkloadSpec>,
-) -> ExperimentManifest {
-    ExperimentManifest {
-        name: name.to_string(),
-        description: description.to_string(),
-        seeds,
-        measure_ops,
-        obs: ObsConfig::disabled(),
-        sim: None,
-        faults: None,
-        vms: None,
-        supervisor: None,
-        experiment: ExperimentSpec::Matrix(MatrixSpec {
-            report,
-            policies: policies(policy_names),
-            workloads,
-        }),
-    }
-}
-
-/// The standard colocation of the main evaluation: benchmark + objdet at
-/// weight 4 (Figures 5–7, Table 4, the sensitivity studies).
-fn with_objdet(bench: BenchId) -> WorkloadSpec {
-    WorkloadSpec::new(bench.name()).with_corunners(&[CoId::Objdet], 4)
-}
-
-/// Table 1 (§3.3): pagerank + stress-ng vs standalone, default kernel,
-/// co-runner stopped after the allocation phase.
-pub fn table1(seed: u64, measure_ops: u64) -> ExperimentManifest {
-    let colocated = WorkloadSpec {
-        stop_corunners_after_init: true,
-        ..WorkloadSpec::new(BenchId::Pagerank.name()).with_corunners(&[CoId::StressNg], 3)
-    }
-    .labeled("colocated");
-    matrix(
-        "table1",
-        "Table 1 (sec 3.3): pagerank colocated with stress-ng vs standalone, default kernel",
-        vec![seed],
-        measure_ops,
-        ReportKind::Table1,
-        &["default"],
-        vec![
-            WorkloadSpec::new(BenchId::Pagerank.name()).labeled("standalone"),
-            colocated,
-        ],
-    )
-}
-
-/// Table 4 (§6.3): pagerank + objdet, default vs PTEMagnet, co-runner
-/// running throughout.
-pub fn table4(seed: u64, measure_ops: u64) -> ExperimentManifest {
-    matrix(
-        "table4",
-        "Table 4 (sec 6.3): pagerank + objdet, PTEMagnet vs default, co-runner throughout",
-        vec![seed],
-        measure_ops,
-        ReportKind::Table4,
-        &["default", "ptemagnet"],
-        vec![with_objdet(BenchId::Pagerank)],
-    )
-}
-
-fn sweep_workloads(corunners: &[CoId], weight: u32) -> Vec<WorkloadSpec> {
-    BenchId::ALL
+/// Every checked-in manifest, parsed, in `manifests/` directory order.
+///
+/// # Panics
+///
+/// Panics if a checked-in file does not parse (a build defect the tests of
+/// this module catch).
+pub fn all() -> Vec<ExperimentManifest> {
+    SOURCES
         .iter()
-        .map(|&b| WorkloadSpec::new(b.name()).with_corunners(corunners, weight))
+        .map(|(name, json)| parse(name, json))
         .collect()
 }
 
-fn objdet_sweep(
-    name: &str,
-    description: &str,
-    report: ReportKind,
-    seed: u64,
-    measure_ops: u64,
-) -> ExperimentManifest {
-    matrix(
-        name,
-        description,
-        vec![seed],
-        measure_ops,
-        report,
-        &["default", "ptemagnet"],
-        sweep_workloads(&[CoId::Objdet], 4),
-    )
-}
-
-/// Figure 5 (§6.1): host-PT fragmentation per benchmark, objdet colocation.
-pub fn fig5(seed: u64, measure_ops: u64) -> ExperimentManifest {
-    objdet_sweep(
-        "fig5",
-        "Figure 5 (sec 6.1): host PT fragmentation per benchmark in colocation with objdet",
-        ReportKind::Fig5,
-        seed,
-        measure_ops,
-    )
-}
-
-/// Figure 6 (§6.1): per-benchmark improvement, objdet colocation.
-pub fn fig6(seed: u64, measure_ops: u64) -> ExperimentManifest {
-    objdet_sweep(
-        "fig6",
-        "Figure 6 (sec 6.1): per-benchmark improvement of PTEMagnet in colocation with objdet",
-        ReportKind::Fig6,
-        seed,
-        measure_ops,
-    )
-}
-
-/// Figure 7 (§6.1): per-benchmark improvement, full co-runner combination.
-pub fn fig7(seed: u64, measure_ops: u64) -> ExperimentManifest {
-    matrix(
-        "fig7",
-        "Figure 7 (sec 6.1): per-benchmark improvement of PTEMagnet with the co-runner combination",
-        vec![seed],
-        measure_ops,
-        ReportKind::Fig7,
-        &["default", "ptemagnet"],
-        sweep_workloads(&CoId::COMBINATION, 1),
-    )
-}
-
-/// The Figure 5/6 sweep dumped as CSV for external plotting.
-pub fn csv(seed: u64, measure_ops: u64) -> ExperimentManifest {
-    objdet_sweep(
-        "csv",
-        "Figure 5/6 sweep (benchmark x {default, ptemagnet} with objdet) as CSV on stdout",
-        ReportKind::Csv,
-        seed,
-        measure_ops,
-    )
-}
-
-/// §6.2: reserved-but-unused incidence with PTEMagnet across all
-/// benchmarks (objdet colocation at the legacy weight 1).
-pub fn sec62(seed: u64, measure_ops: u64) -> ExperimentManifest {
-    matrix(
-        "sec62",
-        "Sec 6.2: incidence of non-allocated pages within reservations (fraction of footprint)",
-        vec![seed],
-        measure_ops,
-        ReportKind::Sec62,
-        &["ptemagnet"],
-        BenchId::ALL
-            .iter()
-            .map(|&b| WorkloadSpec::new(b.name()).with_corunners(&[CoId::Objdet], 1))
-            .collect(),
-    )
-}
-
-/// THP study (§2.3): default vs THP vs PTEMagnet under fresh and
-/// pre-fragmented memory (largest free runs = 16 frames).
-pub fn thp(seed: u64, measure_ops: u64) -> ExperimentManifest {
-    let fragmented = WorkloadSpec {
-        prefragment_run: Some(16),
-        ..with_objdet(BenchId::Pagerank)
-    }
-    .labeled("fragmented");
-    matrix(
-        "thp",
-        "THP study (sec 2.3): transparent huge pages vs PTEMagnet under fresh and fragmented memory",
-        vec![seed],
-        measure_ops,
-        ReportKind::Thp,
-        &["default", "thp", "ptemagnet"],
-        vec![with_objdet(BenchId::Pagerank).labeled("fresh"), fragmented],
-    )
-}
-
-/// §6.1 zero-overhead check: low-TLB-pressure SPECint, averaged over three
-/// seed replicas (the legacy `seed + 101·k` derivation).
-pub fn specint(seed: u64, measure_ops: u64) -> ExperimentManifest {
-    matrix(
-        "specint",
-        "Sec 6.1 zero-overhead check: low-TLB-pressure SPECint + objdet, three-seed average",
-        (0..3).map(|k| seed.wrapping_add(k * 101)).collect(),
-        measure_ops,
-        ReportKind::Specint,
-        &["default", "ptemagnet"],
-        BenchId::SPECINT_LOW_PRESSURE
-            .iter()
-            .map(|&b| with_objdet(b))
-            .collect(),
-    )
-}
-
-/// §6.1 run-to-run variance: pagerank + objdet replicated across seeds.
-pub fn variance(seeds: u64, measure_ops: u64) -> ExperimentManifest {
-    matrix(
-        "variance",
-        "Sec 6.1 variance: execution-time spread of pagerank + objdet across seeds",
-        (0..seeds.max(2)).collect(),
-        measure_ops,
-        ReportKind::Variance,
-        &["default", "ptemagnet"],
-        vec![with_objdet(BenchId::Pagerank).labeled("pagerank + objdet")],
-    )
-}
-
-/// Artifact appendix A.3.2: improvement as a function of LLC capacity.
-pub fn llc(seed: u64, measure_ops: u64, llc_mbs: &[u64]) -> ExperimentManifest {
-    matrix(
-        "llc",
-        "Artifact appendix A.3.2: PTEMagnet improvement (pagerank + objdet) by LLC capacity",
-        vec![seed],
-        measure_ops,
-        ReportKind::Llc,
-        &["default", "ptemagnet"],
-        llc_mbs
-            .iter()
-            .map(|&mb| {
-                with_objdet(BenchId::Pagerank)
-                    .labeled(format!("{mb} MB"))
-                    .with_sim(SimConfig {
-                        llc_mb: Some(mb),
-                        ..SimConfig::default()
-                    })
-            })
-            .collect(),
-    )
-}
-
-/// Hardware sensitivity: STLB reach (omnetpp) and nested-TLB capacity
-/// (pagerank), both + objdet.
-pub fn hw(seed: u64, measure_ops: u64) -> ExperimentManifest {
-    let stlb = [384usize, 1536, 12_288].into_iter().map(|entries| {
-        with_objdet(BenchId::Omnetpp)
-            .labeled(format!("stlb:{entries}"))
-            .with_sim(SimConfig {
-                stlb_entries: Some(entries),
-                ..SimConfig::default()
-            })
-    });
-    let nested = [16usize, 64, 256].into_iter().map(|entries| {
-        with_objdet(BenchId::Pagerank)
-            .labeled(format!("nested-tlb:{entries}"))
-            .with_sim(SimConfig {
-                nested_tlb_entries: Some(entries),
-                ..SimConfig::default()
-            })
-    });
-    matrix(
-        "hw",
-        "Hardware sensitivity: PTEMagnet improvement vs STLB reach and nested-TLB capacity",
-        vec![seed],
-        measure_ops,
-        ReportKind::Hw,
-        &["default", "ptemagnet"],
-        stlb.chain(nested).collect(),
-    )
-}
-
-/// §6.4 allocation-latency microbenchmark (not a scenario run).
-pub fn sec64(pages: u64) -> ExperimentManifest {
-    ExperimentManifest {
-        name: "sec64".to_string(),
-        description:
-            "Sec 6.4: allocation microbenchmark, default vs PTEMagnet over a first-touched array"
-                .to_string(),
-        seeds: vec![0],
-        measure_ops: 1,
-        obs: ObsConfig::disabled(),
-        sim: None,
-        faults: None,
-        vms: None,
-        supervisor: None,
-        experiment: ExperimentSpec::AllocLatency { pages },
-    }
-}
-
-/// §1/§3.2 walk-source breakdown (raw per-level counter capture).
-pub fn breakdown(seed: u64, measure_ops: u64) -> ExperimentManifest {
-    ExperimentManifest {
-        name: "breakdown".to_string(),
-        description:
-            "Sec 1/3.2 walk-source analysis: where each PT level's accesses are served from"
-                .to_string(),
-        seeds: vec![seed],
-        measure_ops,
-        obs: ObsConfig::disabled(),
-        sim: None,
-        faults: None,
-        vms: None,
-        supervisor: None,
-        experiment: ExperimentSpec::WalkBreakdown,
-    }
-}
-
-/// Tiny observability-enabled matrix for CI smoke runs: solo gcc on a small
-/// machine, both headline policies, tracing and epoch sampling on.
-pub fn smoke() -> ExperimentManifest {
-    let mut m = matrix(
-        "smoke",
-        "CI smoke: solo gcc on a small machine, default vs PTEMagnet, observability on",
-        vec![0],
-        5_000,
-        ReportKind::Runs,
-        &["default", "ptemagnet"],
-        vec![WorkloadSpec::new(BenchId::Gcc.name())],
-    );
-    m.obs = ObsConfig::enabled(1_000);
-    m.sim = Some(SimConfig {
-        guest_mb: Some(256),
-        cores: Some(2),
-        ..SimConfig::default()
-    });
-    m
-}
-
-/// Robustness study: graceful degradation under rising fault-injection
-/// severity. Solo gcc on the smoke machine, default vs PTEMagnet, with each
-/// row adding harsher chunk denials, OOM storms, fragmentation shocks,
-/// reclaim storms, and host swap-outs; observability on so every injected
-/// fault lands in the trace.
-pub fn pressure() -> ExperimentManifest {
-    let mut workloads = vec![WorkloadSpec::new(BenchId::Gcc.name()).labeled("baseline")];
-    workloads.extend([0.25_f64, 0.5, 0.75].into_iter().map(|rate| {
-        WorkloadSpec::new(BenchId::Gcc.name())
-            .labeled(format!("severity {rate}"))
-            .with_faults(FaultPlan {
-                seed: 0xFA17,
-                chunk_fail_rate: rate,
-                oom_rate: rate / 25.0,
-                frag_shock_every: Some(2_500),
-                frag_shock_order: 0,
-                reclaim_storm_every: Some(2_000),
-                reclaim_storm_frames: 256,
-                swap_out_every: Some(4_000),
-                daemon_threshold: Some(0.05),
-                daemon_restore_to: Some(0.1),
-            })
-    }));
-    let mut m = matrix(
-        "pressure",
-        "Robustness: graceful degradation of default vs PTEMagnet under rising fault severity",
-        vec![0],
-        5_000,
-        ReportKind::Pressure,
-        &["default", "ptemagnet"],
-        workloads,
-    );
-    m.obs = ObsConfig::enabled(1_000);
-    m.sim = Some(SimConfig {
-        guest_mb: Some(256),
-        cores: Some(2),
-        ..SimConfig::default()
-    });
-    // The faulted cells are exactly where a transient failure could appear,
-    // so this is the one shipped manifest with an explicit supervisor policy
-    // (one deterministic retry, original seed kept).
-    m.supervisor = Some(SupervisorSpec {
-        retries: 1,
-        seed_stride: 0,
-        max_cell_ops: None,
-        soft_wall_ms: None,
-    });
-    m
-}
-
-/// Multi-tenant colocation study: N guest VMs sharing one overcommitted
-/// host, swept over fleet size × churn, default vs PTEMagnet per VM. Every
-/// workload is solo gcc inside each guest; the interference under study is
-/// between *VMs*, not between processes of one guest.
-pub fn colocation() -> ExperimentManifest {
-    let mut workloads = Vec::new();
-    for &count in &[8u32, 32] {
-        for churn in [None, Some(2_000u64)] {
-            let label = match churn {
-                None => format!("{count} VMs"),
-                Some(period) => format!("{count} VMs, churn @{period}"),
-            };
-            workloads.push(
-                WorkloadSpec::new(BenchId::Gcc.name())
-                    .labeled(label)
-                    .with_vms(VmsSpec {
-                        count,
-                        overcommit: 1.5,
-                        churn_period_ops: churn,
-                        churn_kills: 1,
-                        balloon_watermark: Some(0.1),
-                    }),
-            );
-        }
-    }
-    let mut m = matrix(
-        "colocation",
-        "Multi-tenant host: VM fleet size x churn on 1.5x overcommit, default vs PTEMagnet",
-        vec![0],
-        20_000,
-        ReportKind::Colocation,
-        &["default", "ptemagnet"],
-        workloads,
-    );
-    m.obs = ObsConfig::enabled(2_500);
-    // 48 MB per VM holds gcc's 24 MB footprint at ~50% utilization, so a
-    // 1.5x-overcommitted host is pressured but not starved.
-    m.sim = Some(SimConfig {
-        guest_mb: Some(48),
-        cores: Some(2),
-        ..SimConfig::default()
-    });
-    m
-}
-
-/// Guest-thread sweep: gcc + objdet at 1/2/4/8 simulated guest threads,
-/// default vs PTEMagnet. `threads: 1` is the serial engine, byte-identical
-/// to the legacy path (the differential anchor row); the higher rows
-/// interleave the benchmark's faults with the seeded round-robin
-/// interleaver, contending neighbouring 8-page reservation groups — the
-/// workload the lock-free PaRT exists to serve.
-pub fn threads() -> ExperimentManifest {
-    let workloads = [1u32, 2, 4, 8]
-        .into_iter()
-        .map(|threads| {
-            with_objdet(BenchId::Gcc)
-                .labeled(format!("threads:{threads}"))
-                .with_threads(threads)
-        })
-        .collect();
-    let mut m = matrix(
-        "threads",
-        "Concurrent guest faulting: gcc + objdet at 1/2/4/8 simulated guest threads",
-        vec![0],
-        20_000,
-        ReportKind::Runs,
-        &["default", "ptemagnet"],
-        workloads,
-    );
-    m.obs = ObsConfig::enabled(2_500);
-    m.sim = Some(SimConfig {
-        guest_mb: Some(256),
-        cores: Some(2),
-        ..SimConfig::default()
-    });
-    m
-}
-
-/// Every checked-in manifest at its default parameters, in `manifests/`
-/// directory order. `vmsim emit` writes these; the golden tests pin them.
-pub fn all() -> Vec<ExperimentManifest> {
-    vec![
-        table1(0, DEFAULT_MEASURE_OPS),
-        table4(0, DEFAULT_MEASURE_OPS),
-        fig5(0, DEFAULT_MEASURE_OPS),
-        fig6(0, DEFAULT_MEASURE_OPS),
-        fig7(0, DEFAULT_MEASURE_OPS),
-        csv(0, DEFAULT_MEASURE_OPS),
-        sec62(0, DEFAULT_MEASURE_OPS),
-        thp(0, 150_000),
-        specint(0, 150_000),
-        variance(8, 150_000),
-        llc(0, 150_000, &[1, 2, 4, 16, 64]),
-        hw(0, 120_000),
-        sec64(65_536),
-        breakdown(0, 150_000),
-        smoke(),
-        pressure(),
-        colocation(),
-        threads(),
-    ]
-}
-
-/// Looks up a builtin manifest by name.
+/// Looks up a checked-in manifest by name.
+///
+/// # Panics
+///
+/// Panics if the named file does not parse (see [`all`]).
 pub fn by_name(name: &str) -> Option<ExperimentManifest> {
-    all().into_iter().find(|m| m.name == name)
+    SOURCES
+        .iter()
+        .find(|(stem, _)| *stem == name)
+        .map(|(stem, json)| parse(stem, json))
+}
+
+/// The tiny observability-enabled CI manifest (`manifests/smoke.json`):
+/// solo gcc on a small machine, both headline policies, tracing and epoch
+/// sampling on.
+pub fn smoke() -> ExperimentManifest {
+    by_name("smoke").expect("smoke.json is checked in")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    // `tests/golden.rs` pins that the table matches `manifests/` and that
+    // every file parses canonically and validates.
     #[test]
-    fn every_builtin_validates_and_round_trips() {
-        let manifests = all();
-        assert_eq!(manifests.len(), 18);
-        for m in manifests {
-            m.validate().unwrap_or_else(|e| panic!("{}: {e}", m.name));
-            let json = m.to_json();
-            let back =
-                ExperimentManifest::from_json(&json).unwrap_or_else(|e| panic!("{}: {e}", m.name));
-            assert_eq!(back, m, "{} parse-identity", m.name);
-            assert_eq!(back.to_json(), json, "{} canonical fixpoint", m.name);
+    fn names_are_sorted_unique_and_resolvable() {
+        let names: Vec<&str> = SOURCES.iter().map(|(name, _)| *name).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(names, sorted, "directory order, no duplicates");
+        for (name, m) in names.iter().zip(all()) {
+            assert_eq!(&m.name, name, "file stem is the manifest name");
+            assert_eq!(by_name(name), Some(m));
         }
-    }
-
-    #[test]
-    fn builtin_names_are_unique_and_resolvable() {
-        let manifests = all();
-        for m in &manifests {
-            assert_eq!(by_name(&m.name).as_ref(), Some(m));
-        }
-        let mut names: Vec<_> = manifests.iter().map(|m| m.name.clone()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), manifests.len());
-    }
-
-    #[test]
-    fn specint_seeds_use_legacy_derivation() {
-        let m = specint(7, 1000);
-        assert_eq!(m.seeds, vec![7, 108, 209]);
+        assert!(by_name("no-such-manifest").is_none());
     }
 }

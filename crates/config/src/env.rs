@@ -19,21 +19,16 @@
 //! | `VMSIM_SERVE_DRAIN_MS` | `vmsim serve` graceful-drain timeout (positive) |
 //! | `VMSIM_SERVE_DEADLINE_MS` | `vmsim serve` per-job deadline (positive)    |
 //!
-//! `PTEMAGNET_OPS` is kept as a **deprecated alias** for `VMSIM_OPS` and
-//! warns once per process on use.
-//!
 //! Parsers are strict: a set-but-malformed value is an [`EnvError`], never a
-//! silent fallback to the default. Callers that cannot fail (Criterion
-//! benches, the worker pool) use the `*_or` lenient wrappers, which warn
-//! once on stderr before falling back. `vmsim validate` surfaces the same
+//! silent fallback to the default. Callers that cannot fail (the worker
+//! pool, the memo and heartbeat defaults deep in the engine) use the `*_or`
+//! lenient wrappers, which warn once on stderr before falling back. `vmsim validate` surfaces the same
 //! errors via [`check`].
 
 use std::sync::Once;
 
 /// Canonical name for the measured-op count override.
 pub const VAR_OPS: &str = "VMSIM_OPS";
-/// Deprecated alias for [`VAR_OPS`] (the pre-unification name).
-pub const VAR_OPS_DEPRECATED: &str = "PTEMAGNET_OPS";
 /// Worker-pool size for scenario-level fan-out.
 pub const VAR_THREADS: &str = "VMSIM_THREADS";
 /// Event-tracer toggle / ring capacity.
@@ -175,51 +170,24 @@ fn warn_once(once: &'static Once, message: &str) {
     once.call_once(|| eprintln!("vmsim: warning: {message}"));
 }
 
-/// Measured-op override: `VMSIM_OPS`, falling back to the deprecated
-/// `PTEMAGNET_OPS` alias (which warns once per process).
+/// Measured-op override: `VMSIM_OPS`.
 ///
 /// # Errors
 ///
-/// Returns [`EnvError`] if the active variable is set but not a positive
-/// integer.
+/// Returns [`EnvError`] if the variable is set but not a positive integer.
 pub fn measure_ops() -> Result<Option<u64>, EnvError> {
-    static DEPRECATED: Once = Once::new();
-    let (var, value) = match raw(VAR_OPS) {
-        Some(v) => (VAR_OPS, v),
-        None => match raw(VAR_OPS_DEPRECATED) {
-            Some(v) => {
-                warn_once(
-                    &DEPRECATED,
-                    "PTEMAGNET_OPS is deprecated; use VMSIM_OPS instead",
-                );
-                (VAR_OPS_DEPRECATED, v)
-            }
-            None => return Ok(None),
-        },
+    let Some(value) = raw(VAR_OPS) else {
+        return Ok(None);
     };
-    let n = parse_u64(var, value.clone())?;
+    let n = parse_u64(VAR_OPS, value.clone())?;
     if n == 0 {
         return Err(EnvError {
-            var,
+            var: VAR_OPS,
             value,
             reason: "measured-op count must be positive",
         });
     }
     Ok(Some(n))
-}
-
-/// Lenient wrapper over [`measure_ops`] for infallible call sites
-/// (Criterion benches): a malformed value warns once and yields `default`.
-pub fn measure_ops_or(default: u64) -> u64 {
-    static MALFORMED: Once = Once::new();
-    match measure_ops() {
-        Ok(Some(n)) => n,
-        Ok(None) => default,
-        Err(e) => {
-            warn_once(&MALFORMED, &format!("ignoring malformed {e}"));
-            default
-        }
-    }
 }
 
 /// Worker-pool override: `VMSIM_THREADS`. `None` means "one worker per
@@ -610,10 +578,9 @@ mod tests {
     /// Env vars are process-global; every combination runs in one test to
     /// avoid racing parallel test threads on the same variables.
     #[test]
-    fn strict_parsing_and_aliases() {
+    fn strict_parsing() {
         for var in [
             VAR_OPS,
-            VAR_OPS_DEPRECATED,
             VAR_THREADS,
             VAR_TRACE,
             VAR_EPOCH_OPS,
@@ -628,16 +595,12 @@ mod tests {
         assert_eq!(epoch_ops(), Ok(None));
         assert!(check().is_empty());
 
-        // Canonical name wins; deprecated alias still honoured.
-        std::env::set_var(VAR_OPS_DEPRECATED, "1000");
-        assert_eq!(measure_ops(), Ok(Some(1000)));
         std::env::set_var(VAR_OPS, "2000");
         assert_eq!(measure_ops(), Ok(Some(2000)));
 
         // Malformed values are errors, not silent defaults.
         std::env::set_var(VAR_OPS, "lots");
         assert!(measure_ops().is_err());
-        assert_eq!(measure_ops_or(77), 77);
         std::env::set_var(VAR_OPS, "0");
         assert!(measure_ops().is_err());
 
@@ -796,7 +759,6 @@ mod tests {
 
         for var in [
             VAR_OPS,
-            VAR_OPS_DEPRECATED,
             VAR_THREADS,
             VAR_TRACE,
             VAR_EPOCH_OPS,

@@ -7,11 +7,11 @@
 //!   ([`SimConfig`], [`WorkloadSpec`], [`PolicySpec`]): the full evaluation
 //!   matrix (policies × workloads × seeds × observability) as data, JSON
 //!   round-trippable through the `vmsim-obs` parser;
-//! * [`builtin`] — canonical manifests for every table/figure of the paper,
-//!   mirrored by the checked-in `manifests/` directory;
-//! * [`env`](mod@env) — the canonical environment-override parser (`VMSIM_OPS`,
-//!   `VMSIM_THREADS`, `VMSIM_TRACE`, `VMSIM_EPOCH_OPS`; `PTEMAGNET_OPS`
-//!   kept as a deprecated alias), strict by default;
+//! * [`builtin`] — the checked-in `manifests/*.json` files, compiled in
+//!   and parsed on demand (one manifest per table/figure of the paper);
+//! * [`env`](mod@env) — the canonical environment-override parser
+//!   (`VMSIM_OPS`, `VMSIM_THREADS`, `VMSIM_TRACE`, `VMSIM_EPOCH_OPS`, ...),
+//!   strict by default;
 //! * [`obs`] — [`ObsConfig`], the per-run observability knobs carried by
 //!   every manifest.
 //!
@@ -32,7 +32,3 @@ pub use manifest::{
 };
 pub use obs::ObsConfig;
 pub use vmsim_types::FaultPlan;
-
-/// Default measured steady-state operations per run (the full-scale setting
-/// of every headline experiment).
-pub const DEFAULT_MEASURE_OPS: u64 = 300_000;

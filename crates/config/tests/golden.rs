@@ -1,58 +1,71 @@
 //! Golden tests for the checked-in `manifests/` directory.
 //!
-//! Every file under `manifests/` must be the *byte-identical* canonical
-//! serialization of the builtin manifest of the same name (regenerate with
-//! `vmsim emit manifests` after changing a builtin), and every manifest
-//! must survive a parse → serialize round trip unchanged.
+//! Every file under `manifests/` is the single source of truth for its
+//! experiment. Each must already be in canonical form (parse → serialize
+//! reproduces the file byte for byte), validate, and be compiled into
+//! `builtin` under its file stem.
 
 use vmsim_config::{builtin, ExperimentManifest, SupervisorSpec};
 
-fn manifests_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../manifests")
+/// Every `manifests/*.json` file as `(stem, contents)`, sorted by name.
+fn checked_in() -> Vec<(String, String)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../manifests");
+    let mut files: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .map(|path| {
+            let stem = path.file_stem().expect("file stem").to_string_lossy();
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            (stem.into_owned(), text)
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 #[test]
-fn checked_in_manifests_match_builtins_byte_for_byte() {
-    for manifest in builtin::all() {
-        let path = manifests_dir().join(format!("{}.json", manifest.name));
-        let disk = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "{}: cannot read (regenerate with `vmsim emit manifests`): {e}",
-                path.display()
-            )
-        });
+fn checked_in_manifests_are_canonical_fixpoints() {
+    let files = checked_in();
+    assert!(!files.is_empty(), "manifests/ holds the experiments");
+    for (stem, disk) in files {
+        let manifest = ExperimentManifest::from_json(&disk)
+            .unwrap_or_else(|e| panic!("{stem}.json must parse: {e}"));
+        assert_eq!(manifest.name, stem, "{stem}.json: name is the file stem");
         assert_eq!(
-            disk,
             manifest.to_json(),
-            "{} is stale; regenerate with `vmsim emit manifests`",
-            path.display()
+            disk,
+            "{stem}.json is not in canonical form (parse -> serialize changed it)"
         );
+        let reparsed = ExperimentManifest::from_json(&manifest.to_json()).expect("reparse");
+        assert_eq!(reparsed, manifest, "{stem}: value round trip");
+        manifest
+            .validate()
+            .unwrap_or_else(|e| panic!("{stem}.json must validate: {e}"));
     }
 }
 
 #[test]
-fn manifests_round_trip_byte_identically() {
-    for manifest in builtin::all() {
-        let json = manifest.to_json();
-        let reparsed = ExperimentManifest::from_json(&json)
-            .unwrap_or_else(|e| panic!("{}: canonical JSON must parse: {e}", manifest.name));
-        assert_eq!(reparsed, manifest, "{}: value round trip", manifest.name);
-        assert_eq!(
-            reparsed.to_json(),
-            json,
-            "{}: serialization is not a fixpoint",
-            manifest.name
-        );
-    }
+fn builtin_table_is_exactly_the_checked_in_directory() {
+    let on_disk: Vec<ExperimentManifest> = checked_in()
+        .iter()
+        .map(|(_, text)| ExperimentManifest::from_json(text).expect("parses"))
+        .collect();
+    assert_eq!(
+        builtin::all(),
+        on_disk,
+        "every manifests/*.json is compiled into builtin, and nothing else"
+    );
 }
 
 /// The optional `supervisor` block survives the round trip in both of its
-/// shapes: absent (`null`) and fully populated. The pressure builtin ships
+/// shapes: absent (`null`) and fully populated. The pressure manifest ships
 /// a non-null spec so at least one checked-in manifest exercises the
 /// populated path.
 #[test]
 fn supervisor_spec_round_trips_in_both_shapes() {
-    let pressure = builtin::by_name("pressure").expect("pressure is a builtin");
+    let pressure = builtin::by_name("pressure").expect("pressure is checked in");
     assert!(
         pressure.supervisor.is_some(),
         "pressure carries a populated supervisor spec"
@@ -74,14 +87,5 @@ fn supervisor_spec_round_trips_in_both_shapes() {
             .unwrap_or_else(|e| panic!("{}: supervisor JSON must parse: {e}", manifest.name));
         assert_eq!(reparsed.supervisor, manifest.supervisor);
         assert_eq!(reparsed.to_json(), manifest.to_json());
-    }
-}
-
-#[test]
-fn every_builtin_validates() {
-    for manifest in builtin::all() {
-        manifest
-            .validate()
-            .unwrap_or_else(|e| panic!("builtin {} must validate: {e}", manifest.name));
     }
 }

@@ -3,8 +3,11 @@
 //! The paper fixes two design parameters with geometric arguments:
 //! the 8-page reservation granularity (§4.1: eight 8-byte PTEs fill one
 //! 64-byte cache line) and fine-grained per-node PaRT locking (§4.2).
-//! These variants let the `vmsim-bench` ablation benches quantify both
-//! choices empirically.
+//! These variants quantify both choices empirically: the registry exposes
+//! the granularity variant as `granular:N`, swept by
+//! `manifests/ablate_granularity.json`, and `vmsim perf` times the
+//! globally locked PaRT next to the lock-free one (`part_global_lock_*`
+//! vs `part_concurrent_*` kernels).
 
 use std::collections::HashMap;
 

@@ -13,8 +13,8 @@ use vmsim_types::{GuestFrame, GuestVirtPage, Result, PT_INDEX_BITS};
 /// taking the neighbouring frame, falling back to a normal order-0
 /// allocation when that frame is taken. Unlike PTEMagnet it reserves
 /// nothing, so colocated allocation churn steals the neighbouring frames and
-/// contiguity degrades with co-runner pressure — the comparison the
-/// `ablate_besteffort` bench quantifies.
+/// contiguity degrades with co-runner pressure — the comparison
+/// `manifests/ablate_besteffort.json` quantifies.
 #[derive(Clone, Debug, Default)]
 pub struct CaPagingLike {
     /// Last frame granted per (process, contiguity goal): keyed by the vpn's

@@ -79,6 +79,7 @@ impl Default for ReclaimDaemon {
 mod tests {
     use super::*;
     use crate::ReservationAllocator;
+    use vmsim_buddy::FragmentationIndex;
     use vmsim_types::GuestVirtPage;
 
     #[test]
@@ -107,6 +108,40 @@ mod tests {
         assert!(guest.buddy().free_fraction() >= 0.1);
         // Mapped pages were untouched: rss unchanged.
         assert_eq!(guest.process(pid).unwrap().rss_pages, 29);
+    }
+
+    /// The §4.3 threshold sweep under the every-8th-page adversary: a
+    /// 4096-frame guest whose 3840-page mmap takes one fault per 8-page
+    /// group (480 faults), so nearly every reserved frame is unused. A
+    /// higher threshold reclaims more, and the freed single frames leave
+    /// free memory ever less usable for order-3 chunks (§4.4).
+    #[test]
+    fn threshold_sweep_reclaims_more_and_fragments_free_memory() {
+        let mut unusable = Vec::new();
+        for (threshold, expected) in [
+            (0.05, 0),
+            (0.10, 574),
+            (0.25, 1806),
+            (0.50, 3360),
+            (0.90, 3360),
+        ] {
+            let mut guest = GuestOs::new(4096, Box::new(ReservationAllocator::new()));
+            let pid = guest.spawn();
+            let va = guest.mmap(pid, 3840).unwrap();
+            for g in 0..480 {
+                guest
+                    .page_fault(pid, GuestVirtPage::new(va.page().raw() + g * 8))
+                    .unwrap();
+            }
+            let reclaimed = ReclaimDaemon::new(threshold).run(&mut guest);
+            assert_eq!(reclaimed, expected, "threshold {threshold}");
+            unusable.push(FragmentationIndex::measure(guest.buddy(), 3).unusable_fraction());
+        }
+        assert!(
+            unusable.windows(2).all(|w| w[0] <= w[1]),
+            "order-3 unusable fraction never decreases: {unusable:?}"
+        );
+        assert!(unusable[0] < 0.05 && unusable[4] > 0.9, "{unusable:?}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no `serde_json`, so the observability layer
 //! hand-writes its JSON and carries its own parser for schema sanity checks
-//! (the trace binary re-parses everything it emits and fails loudly on
+//! (`vmsim run` re-parses every artifact it writes and fails loudly on
 //! malformed output). The dialect is plain RFC 8259 JSON; the writer never
 //! produces NaN/infinite numbers (they are mapped to `null`).
 

@@ -10,7 +10,6 @@
 //! vmsim perf [--check] [--out FILE]
 //! vmsim list
 //! vmsim validate <manifest.json>...
-//! vmsim emit [DIR]
 //! ```
 //!
 //! `run` executes each manifest through the `vmsim-sim` supervised driver,
@@ -39,7 +38,7 @@
 //! when the server refuses (overloaded, draining, journal unavailable) or
 //! defers the job. `--health`/`--status`/`--drain` send bare probe ops.
 //!
-//! `perf` runs the pinned bench-core cells and appends a stamped entry to
+//! `perf` runs the pinned trajectory cells and appends a stamped entry to
 //! the checked-in perf trajectory (`BENCH_trajectory.json`); `--check`
 //! instead compares the newest entry against the previous one and fails on
 //! deterministic-counter regressions (see `vmsim_sim::perf`).
@@ -62,8 +61,8 @@
 //!   (takes precedence over `1`).
 //!
 //! Environment overrides (parsed strictly by `vmsim_config::env`; malformed
-//! values are errors here, not silent defaults): `VMSIM_OPS` (measured ops;
-//! deprecated alias `PTEMAGNET_OPS`), `VMSIM_THREADS` (worker pool),
+//! values are errors here, not silent defaults): `VMSIM_OPS` (measured ops),
+//! `VMSIM_THREADS` (worker pool),
 //! `VMSIM_TRACE` / `VMSIM_EPOCH_OPS` (force observability on), and
 //! `VMSIM_CHAOS_CELL` (`i` or `i:k`: deterministically panic matrix cell
 //! `i`, every attempt or only the first `k` — the supervised-runtime
@@ -71,9 +70,8 @@
 //! `_DRAIN_MS`, `_DEADLINE_MS`) for `serve`/`submit`.
 //!
 //! `validate` checks manifest shape, resolves every policy against the
-//! registry, and reports malformed `VMSIM_*` environment values. `emit`
-//! regenerates the checked-in `manifests/` directory from the builtin
-//! builders in canonical form. `list` shows builtins, report kinds, and the
+//! registry, and reports malformed `VMSIM_*` environment values. `list`
+//! shows the checked-in manifests (runnable by name), report kinds, and the
 //! policy catalog.
 
 use std::path::{Path, PathBuf};
@@ -90,8 +88,7 @@ const USAGE: &str = "usage:
   vmsim submit (--health|--status|--drain) [--addr ADDR|--addr-file FILE]
   vmsim perf [--check] [--out FILE]
   vmsim list
-  vmsim validate <manifest.json>...
-  vmsim emit [DIR]";
+  vmsim validate <manifest.json>...";
 
 /// Exit code for a run that completed with quarantined cells.
 const EXIT_DEGRADED: u8 = 3;
@@ -105,7 +102,6 @@ fn main() -> ExitCode {
         Some("perf") => vmsim_sim::perf::cmd_perf(&args[1..]),
         Some("list") => cmd_list(),
         Some("validate") => cmd_validate(&args[1..]),
-        Some("emit") => cmd_emit(args.get(1).map_or("manifests", String::as_str)),
         _ => {
             eprintln!("{USAGE}");
             ExitCode::from(2)
@@ -113,8 +109,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Loads a manifest from a file path, falling back to the builtin of that
-/// name (`vmsim run table4` == `vmsim run manifests/table4.json`).
+/// Loads a manifest from a file path, falling back to the checked-in
+/// manifest of that name (`vmsim run table4` == `vmsim run
+/// manifests/table4.json`).
 fn load(source: &str) -> Result<ExperimentManifest, String> {
     let path = Path::new(source);
     if path.exists() {
@@ -132,7 +129,7 @@ fn apply_env(manifest: &mut ExperimentManifest) -> Result<(), env::EnvError> {
         manifest.measure_ops = ops;
     }
     // VMSIM_GUEST_THREADS overrides every workload's `threads` knob (env >
-    // manifest > the implicit serial default of 1). Parsed before anything
+    // manifest). Parsed before anything
     // runs, so a malformed value is a usage error (exit 2), never a
     // half-executed run.
     if let Some(threads) = env::guest_threads()? {
@@ -542,7 +539,7 @@ fn validate_one(source: &str) -> Result<usize, String> {
 }
 
 fn cmd_list() -> ExitCode {
-    println!("builtin manifests (vmsim run <name>, or emit to manifests/):");
+    println!("checked-in manifests (vmsim run manifests/<name>.json, or just <name>):");
     for m in builtin::all() {
         println!(
             "  {:<10} {:<15} {}",
@@ -559,23 +556,5 @@ fn cmd_list() -> ExitCode {
     println!("  {}", names.join(", "));
     println!("\npolicies (plus granular:N for N in {{1, 2, 4, 8, 16}}):");
     println!("  {}", ptemagnet::registry::catalog().join(", "));
-    ExitCode::SUCCESS
-}
-
-fn cmd_emit(dir: &str) -> ExitCode {
-    let dir = Path::new(dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("vmsim emit: cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    let manifests = builtin::all();
-    for m in &manifests {
-        let path = dir.join(format!("{}.json", m.name));
-        if let Err(e) = std::fs::write(&path, m.to_json()) {
-            eprintln!("vmsim emit: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    println!("wrote {} manifests to {}", manifests.len(), dir.display());
     ExitCode::SUCCESS
 }

@@ -2,14 +2,16 @@
 //! worker pool under panic supervision and assembles the paper-typed
 //! result.
 //!
-//! This is the single path every experiment takes — the `vmsim` CLI, the
-//! `exp-*` wrapper binaries, and the legacy functions in
-//! [`crate::experiments`] all build a manifest and hand it here. A matrix
-//! manifest expands to one job per (workload, policy, seed) cell, in
-//! workload-major order (`index = (w·P + p)·S + s`); jobs run on the
-//! deterministic pool ([`crate::parallel`]) and come back in job order, so
-//! a manifest-driven run is bit-identical to the hand-constructed legacy
-//! path run serially.
+//! This is the single path every experiment takes: `vmsim run`, `vmsim
+//! serve` and the library entry points [`run_manifest`] /
+//! [`run_supervised`] all hand a manifest here. A matrix manifest expands
+//! to one job per (workload, policy, seed) cell, in workload-major order
+//! (`index = (w·P + p)·S + s`); jobs run on the deterministic pool
+//! ([`crate::parallel`]) and come back in job order, so a run is
+//! bit-identical at any worker count and to the same cells run serially.
+//! The two special kinds run their own loops here: [`sec64`] (the §6.4
+//! allocation-latency microbenchmark) and [`walk_breakdown`] (raw
+//! per-level counter capture).
 //!
 //! Each cell runs inside its own `catch_unwind`: a panicking or resource-
 //! exhausted cell is **quarantined** — recorded as a [`CellRun`] carrying
@@ -25,7 +27,7 @@
 //! Policy names resolve through `ptemagnet::registry`; allocator labels in
 //! the resulting [`RunMetrics`] come from the allocator itself
 //! ([`vmsim_os::GuestFrameAllocator::name`]), which the registry guarantees
-//! to match the catalog names the legacy `AllocatorKind` used.
+//! to match the catalog names of `AllocatorKind`.
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,17 +42,18 @@ use vmsim_config::{
 use vmsim_obs::{json, Event, EventKind, Metric, MetricSource};
 use vmsim_os::{GuestOs, Machine, MachineConfig};
 use vmsim_types::{GuestVirtAddr, GuestVirtPage, MemError, RunError, PAGE_SIZE};
+use vmsim_workloads::{BenchId, CoId};
 
-use crate::experiments::{
-    AllocLatency, BenchPair, FigureSweep, HwSensitivityRow, ReservedUnused, Table1, Table4, ThpRow,
-    ThpStudy,
-};
+use crate::engine::Colocation;
 use crate::journal::{self, Journal, JournalEntry};
 use crate::obs::ObservedRun;
 use crate::parallel::{self, Parallelism};
 use crate::progress::Progress;
-use crate::report;
-use crate::scenario::{CellBudget, RunMetrics, Scenario};
+use crate::report::{
+    self, AllocLatency, BenchPair, FigureSweep, HwSensitivityRow, ReservedUnused, Table1, Table4,
+    ThpRow, ThpStudy,
+};
+use crate::scenario::{AllocatorKind, CellBudget, RunMetrics, Scenario};
 use crate::stats::Replication;
 
 /// Why a manifest could not be executed.
@@ -397,7 +400,7 @@ pub fn build_scenario(
 /// # Panics
 ///
 /// The special kinds (alloc-latency, walk-breakdown) still panic on
-/// simulation resource exhaustion, as the legacy experiment functions did.
+/// simulation resource exhaustion: they run outside the supervised cell loop.
 pub fn run_manifest(manifest: &ExperimentManifest) -> Result<ManifestRun, DriverError> {
     run_supervised(manifest, &Supervisor::default())
 }
@@ -414,7 +417,7 @@ pub fn run_manifest(manifest: &ExperimentManifest) -> Result<ManifestRun, Driver
 /// # Panics
 ///
 /// The special kinds (alloc-latency, walk-breakdown) still panic on
-/// simulation resource exhaustion, as the legacy experiment functions did.
+/// simulation resource exhaustion: they run outside the supervised cell loop.
 pub fn run_supervised(
     manifest: &ExperimentManifest,
     sup: &Supervisor<'_>,
@@ -426,17 +429,14 @@ pub fn run_supervised(
             cells: Vec::new(),
             supervision: Supervision::default(),
             supervisor_events: Vec::new(),
-            outcome: Outcome::AllocLatency(crate::experiments::sec64(*pages)),
+            outcome: Outcome::AllocLatency(sec64(*pages)),
         }),
         ExperimentSpec::WalkBreakdown => Ok(ManifestRun {
             manifest: manifest.clone(),
             cells: Vec::new(),
             supervision: Supervision::default(),
             supervisor_events: Vec::new(),
-            outcome: Outcome::Breakdown(crate::experiments::walk_breakdown(
-                manifest.seeds[0],
-                manifest.measure_ops,
-            )),
+            outcome: Outcome::Breakdown(walk_breakdown(manifest.seeds[0], manifest.measure_ops)),
         }),
         ExperimentSpec::Matrix(matrix) => run_matrix(manifest, matrix, sup),
     }
@@ -934,6 +934,69 @@ fn sec62_adversarial() -> String {
     )
 }
 
+/// The §6.4 allocation-latency microbenchmark: allocate an array of
+/// `pages` and first-touch every page once, with and without PTEMagnet.
+/// (The paper uses a 60 GB array; `pages` scales it to the simulated VM.)
+///
+/// # Panics
+///
+/// Panics if `pages` is zero.
+pub fn sec64(pages: u64) -> AllocLatency {
+    assert!(pages > 0);
+    let run = |kind: AllocatorKind| -> u64 {
+        // Size the VM to hold the array plus page tables comfortably.
+        let guest_mb = (pages * 8 / 256).max(64);
+        let config = MachineConfig::paper(1, guest_mb);
+        let mut m = Machine::with_allocator(config, kind.build());
+        let pid = m.guest_mut().spawn();
+        let base = m.guest_mut().mmap(pid, pages).expect("VM sized to fit");
+        let mut cycles = 0u64;
+        for i in 0..pages {
+            let va = GuestVirtAddr::new(base.raw() + i * PAGE_SIZE);
+            cycles += m.touch(0, pid, va, true).expect("first touch").cycles;
+        }
+        cycles
+    };
+    let kinds = [AllocatorKind::Default, AllocatorKind::PteMagnet];
+    let mut cycles = parallel::map_indexed(Parallelism::from_env(), &kinds, |&kind| run(kind));
+    let ptemagnet_cycles = cycles.pop().expect("two runs");
+    let default_cycles = cycles.pop().expect("two runs");
+    AllocLatency {
+        pages,
+        default_cycles,
+        ptemagnet_cycles,
+    }
+}
+
+/// The paper's motivating analysis (§1/§3.2): per-PT-level hit-source
+/// breakdown of nested-walk accesses for pagerank + objdet, with and
+/// without PTEMagnet. Returns `(allocator name, measured counters)` pairs.
+///
+/// Guest-PT accesses are served close to the core at every level; host-PT
+/// *leaf* (level 3) accesses are the ones fragmentation pushes out to
+/// LLC/DRAM, and PTEMagnet pulls them back in. The co-runner seed is
+/// `seed + 1`, not the scenario engine's derivation.
+pub fn walk_breakdown(seed: u64, measure_ops: u64) -> Vec<(String, MemCounters)> {
+    let kinds = [AllocatorKind::Default, AllocatorKind::PteMagnet];
+    parallel::map_indexed(Parallelism::from_env(), &kinds, |&kind| {
+        let machine = Machine::with_allocator(MachineConfig::paper(2, 1024), kind.build());
+        let mut colo = Colocation::new(machine);
+        let primary = colo.add_app(
+            Box::new(vmsim_workloads::benchmark(BenchId::Pagerank, seed)),
+            1,
+        );
+        colo.add_app(vmsim_workloads::corunner(CoId::Objdet, seed + 1), 4);
+        colo.run_until_steady(primary).expect("init");
+        colo.machine_mut().reset_measurement();
+        colo.run_ops(primary, measure_ops, |_| {}).expect("measure");
+        let core = colo.core(primary);
+        (
+            kind.name().to_string(),
+            *colo.machine().caches().core_counters(core),
+        )
+    })
+}
+
 impl ManifestRun {
     /// The metrics of every *completed* cell in matrix order (empty for
     /// the special kinds; quarantined cells are skipped).
@@ -951,10 +1014,10 @@ impl ManifestRun {
         }
     }
 
-    /// Renders the result as the paper-style text the corresponding `exp-*`
-    /// binary prints. A degraded run gets a per-cell status listing; any
-    /// run with quarantined/retried/truncated cells gets the supervisor
-    /// summary appended (clean runs are byte-identical to before).
+    /// Renders the result as the paper-style text `vmsim run` prints. A
+    /// degraded run gets a per-cell status listing; any run with
+    /// quarantined/retried/truncated cells gets the supervisor summary
+    /// appended (clean runs are byte-identical to before).
     pub fn report(&self) -> String {
         let mut text = self.outcome_report();
         if !self.supervision.is_clean() && !matches!(self.outcome, Outcome::Degraded) {
@@ -1434,6 +1497,23 @@ pub(crate) fn run_json(out: &mut String, workload: &str, policy: &str, seed: u64
 mod tests {
     use super::*;
     use vmsim_config::builtin;
+
+    #[test]
+    fn sec64_ptemagnet_is_not_slower() {
+        // The paper's §6.4 claim: the reservation mechanism is overhead-free
+        // for allocation (in fact ~0.5 % faster).
+        let r = sec64(4096);
+        assert!(
+            r.change() <= 0.001,
+            "PTEMagnet allocation must not be slower, change = {:+.3}%",
+            r.change() * 100.0
+        );
+        assert!(
+            r.change() > -0.05,
+            "and the delta is small, change = {:+.3}%",
+            r.change() * 100.0
+        );
+    }
 
     #[test]
     fn smoke_manifest_runs_and_serializes() {

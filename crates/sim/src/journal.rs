@@ -502,7 +502,8 @@ mod tests {
         let dir = scratch("mismatch");
         let path = dir.join("j.jsonl");
         Journal::create(&path, &builtin::smoke()).expect("create");
-        let err = Journal::resume(&path, &builtin::table4(0, 1000)).expect_err("hash mismatch");
+        let table4 = builtin::by_name("table4").expect("checked-in manifest");
+        let err = Journal::resume(&path, &table4).expect_err("hash mismatch");
         assert_eq!(err.kind(), "artifact_io");
         assert!(err.to_string().contains("different manifest"), "{err}");
     }

@@ -14,11 +14,9 @@
 //!   co-runners, allocator, co-runner stop protocol, measurement length;
 //! * [`driver`] — the manifest execution engine: expands a
 //!   `vmsim_config::ExperimentManifest` into scenario runs on the worker
-//!   pool and assembles the typed, paper-shaped outcome. The `vmsim` CLI
-//!   and every `exp-*` binary go through it;
-//! * [`experiments`] — one function per table/figure of the paper
-//!   (Table 1, Figures 5–7, Table 4, §6.2, §6.4), each a thin wrapper over
-//!   the corresponding builtin manifest;
+//!   pool and assembles the typed, paper-shaped outcome. Every experiment
+//!   goes through it: `vmsim run manifests/<name>.json` is the one way to
+//!   regenerate a table or figure of the paper;
 //! * [`obs`] — scenario-level observability: the [`ObsConfig`] knobs
 //!   (re-exported from `vmsim-config`; `VMSIM_TRACE`, `VMSIM_EPOCH_OPS`)
 //!   and the [`ObservedRun`] wrapper carrying snapshot, epoch time series,
@@ -26,7 +24,9 @@
 //! * [`parallel`] — deterministic worker pool fanning independent runs
 //!   (seeds, benchmarks) across cores; results come back in job order, so
 //!   output is bit-identical to serial. Thread count: `VMSIM_THREADS`;
-//! * [`report`] — renders results as paper-style text tables.
+//! * [`report`] — the paper-shaped result types (Table 1/4, figure
+//!   sweeps, §6.2/§6.4, THP, hardware sensitivity) and their paper-style
+//!   text rendering.
 //!
 //! # Examples
 //!
@@ -45,7 +45,7 @@
 //! Manifest-driven (the canonical path):
 //!
 //! ```no_run
-//! let manifest = vmsim_config::builtin::table4(0, 300_000);
+//! let manifest = vmsim_config::builtin::by_name("table4").expect("checked-in manifest");
 //! let run = vmsim_sim::driver::run_manifest(&manifest).expect("valid manifest");
 //! print!("{}", run.report());
 //! ```
@@ -54,7 +54,6 @@ pub mod artifacts;
 mod colo;
 pub mod driver;
 pub mod engine;
-pub mod experiments;
 pub mod journal;
 pub mod obs;
 pub mod parallel;
@@ -70,15 +69,14 @@ pub use driver::{
     Outcome, PressureRow, Supervision, Supervisor, VarianceStudy,
 };
 pub use engine::Colocation;
-pub use experiments::{
-    fig5_fig6, fig7, hw_sensitivity, llc_sensitivity, sec62, sec64, specint_zero_overhead, table1,
-    table4, thp_study, walk_breakdown, AllocLatency, BenchPair, FigureSweep, HwSensitivityRow,
-    ReservedUnused, Table1, Table4, ThpRow, ThpStudy, DEFAULT_MEASURE_OPS,
-};
 pub use journal::{Journal, JournalEntry};
 pub use obs::{ObsConfig, ObservedRun};
 pub use parallel::Parallelism;
 pub use progress::{Progress, ProgressStats, Pulse, DEFAULT_HEARTBEAT_OPS};
+pub use report::{
+    pct_change, AllocLatency, BenchPair, FigureSweep, HwSensitivityRow, ReservedUnused, Table1,
+    Table4, ThpRow, ThpStudy,
+};
 pub use scenario::{AllocatorKind, CellBudget, RunMetrics, Scenario};
 pub use serve::{ServeConfig, ServeStats, Server};
 pub use stats::{Replication, Summary};

@@ -1,8 +1,221 @@
-//! Paper-style text rendering of experiment results.
+//! The paper-shaped result types of the manifest driver's outcomes, and
+//! their paper-style text rendering.
 
 use core::fmt::Write as _;
 
-use crate::experiments::{AllocLatency, FigureSweep, ReservedUnused, Table1, Table4, ThpStudy};
+use serde::{Deserialize, Serialize};
+
+use crate::scenario::RunMetrics;
+
+/// Percentage change from `from` to `to` (positive = increase).
+pub fn pct_change(from: f64, to: f64) -> f64 {
+    if from == 0.0 {
+        0.0
+    } else {
+        (to - from) / from * 100.0
+    }
+}
+
+/// Result of the Table 1 study.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct Table1 {
+    /// pagerank running alone in the VM.
+    pub standalone: RunMetrics,
+    /// pagerank colocated with stress-ng (stopped after the allocation
+    /// phase, per the paper's §3.3 protocol).
+    pub colocated: RunMetrics,
+}
+
+impl Table1 {
+    /// The paper's rows: metric name, % change under colocation.
+    pub fn rows(&self) -> Vec<(&'static str, f64)> {
+        let s = &self.standalone;
+        let c = &self.colocated;
+        vec![
+            (
+                "Execution time",
+                pct_change(s.cycles as f64, c.cycles as f64),
+            ),
+            (
+                "Cache misses",
+                pct_change(s.data_misses as f64, c.data_misses as f64),
+            ),
+            (
+                "TLB misses",
+                pct_change(s.tlb_misses as f64, c.tlb_misses as f64),
+            ),
+            (
+                "Page walk cycles",
+                pct_change(s.page_walk_cycles as f64, c.page_walk_cycles as f64),
+            ),
+            (
+                "Cycles traversing host PT",
+                pct_change(s.host_pt_cycles as f64, c.host_pt_cycles as f64),
+            ),
+            (
+                "Guest PT accesses from memory",
+                pct_change(s.guest_pt_memory as f64, c.guest_pt_memory as f64),
+            ),
+            (
+                "Host PT accesses from memory",
+                pct_change(s.host_pt_memory as f64, c.host_pt_memory as f64),
+            ),
+            (
+                "Host PT fragmentation",
+                pct_change(s.host_frag, c.host_frag),
+            ),
+        ]
+    }
+}
+
+/// Per-benchmark pair of runs (default vs PTEMagnet) in one colocation.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct BenchPair {
+    /// Benchmark identity.
+    pub name: String,
+    /// Run with the default kernel allocator.
+    pub default: RunMetrics,
+    /// Run with PTEMagnet.
+    pub ptemagnet: RunMetrics,
+}
+
+impl BenchPair {
+    /// Execution-time improvement of PTEMagnet over the default (fraction).
+    pub fn improvement(&self) -> f64 {
+        self.ptemagnet.improvement_over(&self.default)
+    }
+}
+
+/// Result of a figure-style sweep over all benchmarks.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct FigureSweep {
+    /// Colocation label ("objdet" or "combination").
+    pub colocation: String,
+    /// Per-benchmark pairs, in the paper's order.
+    pub pairs: Vec<BenchPair>,
+}
+
+impl FigureSweep {
+    /// Geometric-mean improvement across benchmarks (the paper's Geomean
+    /// bar).
+    pub fn geomean_improvement(&self) -> f64 {
+        let product: f64 = self
+            .pairs
+            .iter()
+            .map(|p| 1.0 / (1.0 - p.improvement()))
+            .product();
+        1.0 - 1.0 / product.powf(1.0 / self.pairs.len() as f64)
+    }
+}
+
+/// Result of the Table 4 study.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct Table4 {
+    /// pagerank + objdet on the default kernel (co-runner runs throughout).
+    pub default: RunMetrics,
+    /// Same colocation with PTEMagnet.
+    pub ptemagnet: RunMetrics,
+}
+
+impl Table4 {
+    /// The paper's rows: metric name, % change with PTEMagnet.
+    pub fn rows(&self) -> Vec<(&'static str, f64)> {
+        let d = &self.default;
+        let p = &self.ptemagnet;
+        vec![
+            (
+                "Host PT fragmentation",
+                pct_change(d.host_frag, p.host_frag),
+            ),
+            (
+                "Execution time",
+                pct_change(d.cycles as f64, p.cycles as f64),
+            ),
+            (
+                "Page walk cycles",
+                pct_change(d.page_walk_cycles as f64, p.page_walk_cycles as f64),
+            ),
+            (
+                "Cycles traversing host PT",
+                pct_change(d.host_pt_cycles as f64, p.host_pt_cycles as f64),
+            ),
+            (
+                "Guest PT accesses from memory",
+                pct_change(d.guest_pt_memory as f64, p.guest_pt_memory as f64),
+            ),
+            (
+                "Host PT accesses from memory",
+                pct_change(d.host_pt_memory as f64, p.host_pt_memory as f64),
+            ),
+        ]
+    }
+}
+
+/// Reserved-unused incidence for one benchmark (§6.2).
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct ReservedUnused {
+    /// Benchmark name.
+    pub name: String,
+    /// Peak reserved-but-unused frames as a fraction of footprint.
+    pub peak_fraction: f64,
+    /// Mean over samples, as a fraction of footprint.
+    pub mean_fraction: f64,
+}
+
+/// Result of the allocation-latency microbenchmark (§6.4).
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+pub struct AllocLatency {
+    /// Pages allocated and first-touched.
+    pub pages: u64,
+    /// Total cycles with the default allocator.
+    pub default_cycles: u64,
+    /// Total cycles with PTEMagnet.
+    pub ptemagnet_cycles: u64,
+}
+
+impl AllocLatency {
+    /// Fractional change of PTEMagnet vs default (negative = faster; the
+    /// paper reports ≈ −0.5 %).
+    pub fn change(&self) -> f64 {
+        self.ptemagnet_cycles as f64 / self.default_cycles as f64 - 1.0
+    }
+}
+
+/// One row of the THP study: allocator behaviour in one memory condition.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct ThpRow {
+    /// Allocator label.
+    pub allocator: String,
+    /// Memory condition ("fresh" or "fragmented").
+    pub condition: String,
+    /// Full run metrics.
+    pub metrics: RunMetrics,
+    /// Improvement over the default allocator in the same condition.
+    pub improvement: f64,
+}
+
+/// Result of the THP study.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct ThpStudy {
+    /// Rows for fresh and fragmented memory, three allocators each.
+    pub rows: Vec<ThpRow>,
+    /// Sparse-touch internal fragmentation: resident pages per touched page
+    /// for (default, thp, ptemagnet) — THP's hidden memory cost.
+    pub sparse_rss_per_touched: [f64; 3],
+}
+
+/// One row of the hardware-sensitivity study.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct HwSensitivityRow {
+    /// Which knob was varied ("stlb" or "nested-tlb").
+    pub knob: String,
+    /// The knob's value (entries).
+    pub value: usize,
+    /// Baseline TLB miss ratio (fraction of lookups that walk).
+    pub tlb_miss_ratio: f64,
+    /// PTEMagnet's improvement at this setting.
+    pub improvement: f64,
+}
 
 /// Renders Table 1 in the paper's "metric / change" format.
 pub fn format_table1(t: &Table1) -> String {
@@ -278,7 +491,6 @@ pub fn format_thp(s: &ThpStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::AllocLatency;
 
     #[test]
     fn ascii_bars_scale_to_the_max() {
@@ -368,7 +580,7 @@ mod tests {
 
     #[test]
     fn table_formats_compute_percent_changes() {
-        let t1 = crate::experiments::Table1 {
+        let t1 = Table1 {
             standalone: metrics(100_000, 2.0),
             colocated: metrics(110_000, 6.0),
         };
@@ -377,7 +589,7 @@ mod tests {
         assert!(s.contains("+10.0%"));
         assert!(s.contains("+200.0%"), "fragmentation 2.0 -> 6.0:\n{s}");
 
-        let t4 = crate::experiments::Table4 {
+        let t4 = Table4 {
             default: metrics(100_000, 7.0),
             ptemagnet: metrics(93_000, 1.0),
         };
@@ -388,9 +600,9 @@ mod tests {
 
     #[test]
     fn figure_formats_list_every_benchmark_and_geomean() {
-        let sweep = crate::experiments::FigureSweep {
+        let sweep = FigureSweep {
             colocation: "objdet".into(),
-            pairs: vec![crate::experiments::BenchPair {
+            pairs: vec![BenchPair {
                 name: "xz".into(),
                 default: metrics(100_000, 7.0),
                 ptemagnet: metrics(91_000, 1.0),
@@ -404,6 +616,27 @@ mod tests {
         let bars = figure_as_bars(&sweep);
         assert!(bars.contains('█'));
         assert!(bars.contains("xz"));
+    }
+
+    #[test]
+    fn pct_change_math() {
+        assert!((pct_change(100.0, 111.0) - 11.0).abs() < 1e-9);
+        assert!((pct_change(100.0, 93.0) + 7.0).abs() < 1e-9);
+        assert_eq!(pct_change(0.0, 5.0), 0.0);
+    }
+
+    #[test]
+    fn geomean_of_identical_improvements_is_that_improvement() {
+        let pair = BenchPair {
+            name: "x".into(),
+            default: metrics(100_000, 1.0),
+            ptemagnet: metrics(96_000, 1.0),
+        };
+        let sweep = FigureSweep {
+            colocation: "t".into(),
+            pairs: vec![pair.clone(), pair],
+        };
+        assert!((sweep.geomean_improvement() - 0.04).abs() < 1e-6);
     }
 
     #[test]

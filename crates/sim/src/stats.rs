@@ -196,8 +196,8 @@ mod tests {
         // Across seeds, execution time varies little — the paper reports
         // stddev ≤ 2 % over 40 full runs. At this deliberately tiny unit-
         // test scale (20k ops vs the default 300k) sampling noise is
-        // larger, so the asserted bound is looser; the full-scale bound is
-        // exercised by the exp-* binaries.
+        // larger, so the asserted bound is looser; the full-scale spread is
+        // what `vmsim run manifests/variance.json` reports.
         let rep = Replication::across(0..4, |seed| {
             Scenario::new(BenchId::Gcc)
                 .machine(MachineConfig::paper(1, 128))

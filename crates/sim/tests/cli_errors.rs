@@ -151,19 +151,6 @@ fn invalid_daemon_watermarks_are_rejected() {
 }
 
 #[test]
-fn emit_to_unwritable_directory_fails() {
-    let dir = scratch("emit");
-    // A regular file where the target directory should go makes
-    // create_dir_all fail deterministically.
-    let blocker = dir.join("blocker");
-    std::fs::write(&blocker, "not a directory").expect("write blocker");
-    let target = blocker.join("manifests");
-    let out = vmsim(&["emit", &target.to_string_lossy()]);
-    assert_ne!(out.status.code(), Some(0));
-    assert!(stderr_of(&out).contains("cannot create"));
-}
-
-#[test]
 fn run_with_unwritable_out_dir_fails() {
     let dir = scratch("outdir");
     let blocker = dir.join("blocker");
@@ -313,10 +300,83 @@ fn chaos_then_resume_reproduces_clean_results_byte_for_byte() {
     }
 }
 
+/// The checked-in `manifests/smoke.json`, byte for byte.
+fn smoke_json() -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../manifests/smoke.json");
+    std::fs::read_to_string(path).expect("smoke.json is checked in")
+}
+
+/// `manifests/smoke.json` with the one line carrying `key` at `indent`
+/// spaces removed; a line-final key also takes the comma off the line
+/// before it, so the document stays well-formed JSON.
+fn smoke_without(indent: usize, key: &str) -> String {
+    let text = smoke_json();
+    let needle = format!("{}\"{key}\": ", " ".repeat(indent));
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with(&needle))
+        .unwrap_or_else(|| panic!("smoke.json has no {needle:?} line"));
+    let removed = lines.remove(at);
+    if !removed.ends_with(',') {
+        let prev = &mut lines[at - 1];
+        *prev = prev.trim_end_matches(',').to_string();
+    }
+    lines.join("\n") + "\n"
+}
+
+#[test]
+fn manifest_missing_a_formerly_optional_key_is_rejected() {
+    // Keys older manifests were allowed to omit are now required like
+    // every other: `run` exits 2 and `validate` exits 1, both naming the
+    // missing key by its path.
+    let dir = scratch("missing-key");
+    let profile_free = smoke_json().replace(", \"profile\": false", "");
+    let cases = [
+        ("faults", smoke_without(2, "faults"), "$.faults"),
+        ("vms", smoke_without(2, "vms"), "$.vms"),
+        ("supervisor", smoke_without(2, "supervisor"), "$.supervisor"),
+        ("profile", profile_free, "$.obs.profile"),
+        (
+            "workload-faults",
+            smoke_without(8, "faults"),
+            "$.experiment.workloads[0].faults",
+        ),
+        (
+            "workload-vms",
+            smoke_without(8, "vms"),
+            "$.experiment.workloads[0].vms",
+        ),
+        (
+            "workload-threads",
+            smoke_without(8, "threads"),
+            "$.experiment.workloads[0].threads",
+        ),
+    ];
+    for (tag, body, path) in cases {
+        let file = write_manifest(&dir, &format!("{tag}.json"), &body);
+        let expected = format!("{path}: missing field");
+        let out = vmsim(&["run", &file, "--out", &dir.to_string_lossy()]);
+        assert_eq!(out.status.code(), Some(2), "vmsim run without {path}");
+        assert!(
+            stderr_of(&out).contains(&expected),
+            "{tag}: {}",
+            stderr_of(&out)
+        );
+        let out = vmsim(&["validate", &file]);
+        assert_eq!(out.status.code(), Some(1), "vmsim validate without {path}");
+        assert!(
+            stderr_of(&out).contains(&expected),
+            "{tag}: {}",
+            stderr_of(&out)
+        );
+    }
+}
+
 #[test]
 fn validate_accepts_every_builtin_and_shipped_manifest() {
-    // The happy path that CI leans on: all builtins (including pressure)
-    // validate cleanly by name.
+    // The happy path that CI leans on: every checked-in manifest
+    // (including pressure) validates cleanly by name.
     let names: Vec<String> = vmsim_config::builtin::all()
         .iter()
         .map(|m| m.name.clone())
@@ -337,8 +397,9 @@ fn perf_unknown_argument_exits_2() {
     let out = vmsim(&["perf", "--out"]);
     assert_eq!(out.status.code(), Some(2), "dangling --out");
 
-    let out = vmsim(&["perf", "--check", "--baseline", "x.json"]);
-    assert_eq!(out.status.code(), Some(2), "contradictory modes");
+    let out = vmsim(&["perf", "--baseline", "x.json"]);
+    assert_eq!(out.status.code(), Some(2), "--baseline is not an option");
+    assert!(stderr_of(&out).contains("unknown argument: --baseline"));
 }
 
 #[test]

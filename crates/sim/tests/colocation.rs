@@ -50,7 +50,7 @@ fn explicit_single_guest_vms_section_is_byte_identical() {
 fn colocation_manifest_sweeps_fleets_and_reports_rows() {
     // A scaled-down version of the checked-in colocation manifest: two
     // fleet sizes x churn off/on, both policies, one seed.
-    let mut manifest = builtin::colocation();
+    let mut manifest = builtin::by_name("colocation").expect("checked-in manifest");
     manifest.measure_ops = 2_000;
     manifest.sim = Some(SimConfig {
         guest_mb: Some(48),

@@ -4,7 +4,7 @@
 //! The "legacy" halves of these tests are verbatim inlinings of the
 //! experiment loops as they existed before the driver/registry refactor
 //! (hand-constructed `Scenario`s, hand-picked `AllocatorKind`s); the other
-//! halves run the corresponding builtin manifest through
+//! halves run the corresponding checked-in manifest through
 //! [`vmsim_sim::driver::run_manifest`]. Same seeds, same machine — the
 //! `RunMetrics` must be field-exact equal, and the emitted `results/` JSON
 //! must be byte-stable across runs.
@@ -12,13 +12,21 @@
 //! Scaled down (small guest, few ops) so the proof runs in debug-mode CI;
 //! the scale knobs are applied identically on both paths.
 
-use vmsim_config::{builtin, SimConfig};
+use vmsim_config::{builtin, ExperimentManifest, SimConfig};
 use vmsim_sim::driver::{run_manifest, Outcome};
 use vmsim_sim::{AllocatorKind, RunMetrics, Scenario};
 use vmsim_workloads::{BenchId, CoId};
 
 const OPS: u64 = 2_000;
 const SEED: u64 = 7;
+
+/// The checked-in manifest `name` at one seed and a reduced op count.
+fn checked_in(name: &str, seed: u64, ops: u64) -> ExperimentManifest {
+    let mut manifest = builtin::by_name(name).expect("checked-in manifest");
+    manifest.seeds = vec![seed];
+    manifest.measure_ops = ops;
+    manifest
+}
 
 /// The reduced platform both paths run on: 256 MB guest (enough for the
 /// colocated footprints), paper defaults otherwise. The driver resolves
@@ -48,9 +56,9 @@ fn table4_matches_prerefactor_code_bit_for_bit() {
     let legacy_default = legacy(AllocatorKind::Default);
     let legacy_ptemagnet = legacy(AllocatorKind::PteMagnet);
 
-    let mut manifest = builtin::table4(SEED, OPS);
+    let mut manifest = checked_in("table4", SEED, OPS);
     manifest.sim = Some(small());
-    let run = run_manifest(&manifest).expect("builtin manifest runs");
+    let run = run_manifest(&manifest).expect("checked-in manifest runs");
     match &run.outcome {
         Outcome::Table4(t) => {
             assert_eq!(t.default, legacy_default, "default run diverged");
@@ -86,9 +94,9 @@ fn fig6_matches_prerefactor_code_bit_for_bit() {
         })
         .collect();
 
-    let mut manifest = builtin::fig6(SEED, OPS);
+    let mut manifest = checked_in("fig6", SEED, OPS);
     manifest.sim = Some(small());
-    let run = run_manifest(&manifest).expect("builtin manifest runs");
+    let run = run_manifest(&manifest).expect("checked-in manifest runs");
     let sweep = match &run.outcome {
         Outcome::Figure(s) => s,
         other => panic!("fig6 manifest produced {other:?}"),
@@ -111,7 +119,7 @@ fn fig6_matches_prerefactor_code_bit_for_bit() {
 
 #[test]
 fn results_json_is_byte_stable_across_runs() {
-    let mut manifest = builtin::table4(SEED, OPS);
+    let mut manifest = checked_in("table4", SEED, OPS);
     manifest.sim = Some(small());
     let first = run_manifest(&manifest).expect("runs").results_json();
     let second = run_manifest(&manifest).expect("runs").results_json();

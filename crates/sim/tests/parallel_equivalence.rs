@@ -177,12 +177,19 @@ fn faulted_runs_are_bit_identical_across_pool_widths() {
 
 #[test]
 fn experiment_functions_are_thread_count_invariant() {
-    // The experiment entry points read VMSIM_THREADS themselves; drive the
-    // smallest one at two pool sizes and require identical output.
+    // The driver reads VMSIM_THREADS itself; run the smallest paper
+    // manifest at two pool sizes and require identical output.
+    let mut manifest = vmsim_config::builtin::by_name("table4").expect("checked-in manifest");
+    manifest.seeds = vec![7];
+    manifest.measure_ops = 2_000;
+    let table4 = || match vmsim_sim::run_manifest(&manifest).expect("runs").outcome {
+        vmsim_sim::Outcome::Table4(t) => t,
+        other => panic!("table4 manifest produced {other:?}"),
+    };
     std::env::set_var("VMSIM_THREADS", "1");
-    let serial = vmsim_sim::table4(7, 2_000);
+    let serial = table4();
     std::env::set_var("VMSIM_THREADS", "4");
-    let parallel = vmsim_sim::table4(7, 2_000);
+    let parallel = table4();
     std::env::remove_var("VMSIM_THREADS");
     assert_eq!(serial.default, parallel.default);
     assert_eq!(serial.ptemagnet, parallel.ptemagnet);

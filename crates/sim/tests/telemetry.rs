@@ -67,7 +67,8 @@ fn heartbeat_cadence_is_deterministic_in_op_space() {
 
 #[test]
 fn profiler_and_progress_are_differentially_invisible() {
-    let plain = builtin::table4(0, 2_000);
+    let mut plain = builtin::by_name("table4").expect("checked-in manifest");
+    plain.measure_ops = 2_000;
     let mut profiled = plain.clone();
     profiled.obs.profile = true;
 

@@ -4,14 +4,17 @@
 //!
 //! Run with: `cargo run --release --example fragmentation_report [measure_ops]`
 
-use ptemagnet_sim::sim::{report, table1};
+use ptemagnet_sim::sim::{report, run_manifest, Outcome};
 
 fn main() {
-    let ops: u64 = std::env::args()
+    let mut manifest = vmsim_config::builtin::by_name("table1").expect("manifests/table1.json");
+    manifest.measure_ops = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(80_000);
-    let t = table1(0, ops);
+    let Outcome::Table1(t) = run_manifest(&manifest).expect("table1 runs").outcome else {
+        unreachable!("the table1 manifest reports Table 1");
+    };
     print!("{}", report::format_table1(&t));
     println!();
     println!("Reading the table: colocation leaves cache and TLB miss counts flat but");

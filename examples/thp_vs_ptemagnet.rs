@@ -9,14 +9,17 @@
 //!
 //! Run with: `cargo run --release --example thp_vs_ptemagnet [measure_ops]`
 
-use ptemagnet_sim::sim::{report, thp_study};
+use ptemagnet_sim::sim::{report, run_manifest, Outcome};
 
 fn main() {
-    let ops: u64 = std::env::args()
+    let mut manifest = vmsim_config::builtin::by_name("thp").expect("manifests/thp.json");
+    manifest.measure_ops = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(60_000);
-    let study = thp_study(0, ops);
+    let Outcome::Thp(study) = run_manifest(&manifest).expect("thp runs").outcome else {
+        unreachable!("the thp manifest reports a THP study");
+    };
     print!("{}", report::format_thp(&study));
     println!();
     println!("Act 1 (fresh): THP and PTEMagnet both pin host-PT fragmentation to ~1;");
