@@ -145,8 +145,8 @@ impl SimConfig {
 /// The multi-tenant host shape: how many guest VMs share the machine, how
 /// overcommitted the host pool is, and the churn/balloon pressure applied
 /// during measurement. A spec with `count` 1 and every pressure knob off is
-/// *inactive* — the run routes through the single-guest engine and is
-/// bit-identical to a manifest with no `vms` section at all.
+/// *inactive*: the run takes the single-guest shape and is bit-identical
+/// to a manifest with no `vms` section at all.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VmsSpec {
     /// Guest VMs colocated on the host.
@@ -192,8 +192,9 @@ impl VmsSpec {
     }
 
     /// Whether this spec actually changes the machine: an inactive spec
-    /// (1 VM, no overcommit, no churn, no balloon) keeps the run on the
-    /// single-guest engine, bit-identical to having no spec at all.
+    /// (1 VM, no overcommit, no churn, no balloon) keeps the single-guest
+    /// host pool and workload seeds, bit-identical to having no spec at
+    /// all.
     #[must_use]
     pub fn is_active(&self) -> bool {
         self.count > 1

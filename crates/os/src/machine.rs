@@ -152,7 +152,7 @@ impl MemoSlot {
 pub struct MemoStats {
     /// Touches replayed from a memo slot (full fingerprint validation).
     pub hits: u64,
-    /// Touches replayed by the [`Machine::touch_run`] same-page streak path
+    /// Touches replayed by the [`Machine::touch_run_vm`] same-page streak path
     /// (no fingerprint validation needed).
     pub streak_hits: u64,
     /// Memo slots (re)filled after a slow-path touch.
@@ -476,6 +476,12 @@ impl Machine {
     /// plan's scheduled triggers on every [`Machine::touch`]. The decision
     /// stream is a pure function of `(plan, run_seed)`, so faulted runs are
     /// bit-reproducible regardless of worker-pool width.
+    ///
+    /// On a multi-tenant host the plan arms VM 0's guest only: the injector
+    /// sits in VM 0's buddy allocator and every scheduled trigger acts on
+    /// VM 0. Other VMs, and VMs rebooted by [`Machine::boot_vm`], never roll
+    /// denials. The triggers still fire on the host-wide op clock, so a
+    /// neighbour's touches advance the schedule.
     pub fn install_faults(&mut self, plan: FaultPlan, run_seed: u64) {
         self.vms[0]
             .guest
@@ -770,31 +776,18 @@ impl Machine {
         Ok(out)
     }
 
-    /// Plays a run of accesses by one (`core`, `pid`) pair, returning the
-    /// total cycles charged. Semantically identical to calling
-    /// [`Machine::touch`] once per element (bit-identical counters, events,
-    /// histograms, and cycle totals) but with a fast path for same-page
-    /// streaks: once an access to a page has been played, immediately
-    /// repeated accesses to the same address need no revalidation at all —
-    /// nothing can have intervened — so they replay directly.
+    /// Plays a run of accesses by one (`core`, `pid`) pair of VM `vm`,
+    /// returning the total cycles charged. Semantically identical to
+    /// calling [`Machine::touch_vm`] once per element (bit-identical
+    /// counters, events, histograms, and cycle totals) but with a fast path
+    /// for same-page streaks: once an access to a page has been played,
+    /// immediately repeated accesses to the same address need no
+    /// revalidation at all — nothing can have intervened — so they replay
+    /// directly.
     ///
     /// # Errors
     ///
     /// As for [`Machine::touch`]; the first failing access aborts the run.
-    pub fn touch_run(
-        &mut self,
-        core: usize,
-        pid: Pid,
-        run: &[(GuestVirtAddr, bool)],
-    ) -> Result<u64> {
-        self.touch_run_in(0, core, pid, run)
-    }
-
-    /// [`Machine::touch_run`] against VM `vm` of a multi-tenant host.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::touch_run`].
     ///
     /// # Panics
     ///
@@ -807,16 +800,6 @@ impl Machine {
         run: &[(GuestVirtAddr, bool)],
     ) -> Result<u64> {
         assert!(self.vms[vm].running, "touch of a stopped VM");
-        self.touch_run_in(vm, core, pid, run)
-    }
-
-    fn touch_run_in(
-        &mut self,
-        vm: usize,
-        core: usize,
-        pid: Pid,
-        run: &[(GuestVirtAddr, bool)],
-    ) -> Result<u64> {
         let mut total = 0u64;
         // The address (and write permission) proven warm by the previous
         // iteration; u64::MAX never matches a real va.
@@ -1459,7 +1442,7 @@ impl Machine {
     ///
     /// Propagates [`GuestOs::munmap`] errors.
     pub fn munmap(&mut self, pid: Pid, start: GuestVirtPage, pages: u64) -> Result<()> {
-        self.munmap_in(0, pid, start, pages)
+        self.munmap_vm(0, pid, start, pages)
     }
 
     /// [`Machine::munmap`] against VM `vm` of a multi-tenant host.
@@ -1474,10 +1457,6 @@ impl Machine {
         start: GuestVirtPage,
         pages: u64,
     ) -> Result<()> {
-        self.munmap_in(vm, pid, start, pages)
-    }
-
-    fn munmap_in(&mut self, vm: usize, pid: Pid, start: GuestVirtPage, pages: u64) -> Result<()> {
         let asid = Self::asid_of(vm, pid);
         let unmapped = self.vms[vm].guest.munmap(pid, start, pages)?;
         for vpn in unmapped {
@@ -1494,21 +1473,8 @@ impl Machine {
     ///
     /// Propagates [`GuestOs::exit`] errors.
     pub fn exit(&mut self, pid: Pid) -> Result<()> {
-        self.exit_in(0, pid)
-    }
-
-    /// [`Machine::exit`] against VM `vm` of a multi-tenant host.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::exit`].
-    pub fn exit_vm(&mut self, vm: usize, pid: Pid) -> Result<()> {
-        self.exit_in(vm, pid)
-    }
-
-    fn exit_in(&mut self, vm: usize, pid: Pid) -> Result<()> {
-        let asid = Self::asid_of(vm, pid);
-        self.vms[vm].guest.exit(pid)?;
+        let asid = Self::asid_of(0, pid);
+        self.vms[0].guest.exit(pid)?;
         for tlb in &mut self.tlbs {
             tlb.flush_asid(asid);
         }
@@ -1523,17 +1489,8 @@ impl Machine {
     ///
     /// Returns [`MemError::NoSuchProcess`] for unknown pids.
     pub fn host_pt_fragmentation(&self, pid: Pid) -> Result<LineCensus> {
-        self.host_pt_fragmentation_vm(0, pid)
-    }
-
-    /// [`Machine::host_pt_fragmentation`] for a process of VM `vm`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::NoSuchProcess`] for unknown pids.
-    pub fn host_pt_fragmentation_vm(&self, vm: usize, pid: Pid) -> Result<LineCensus> {
         let mut census = LineCensus::default();
-        let proc = self.vms[vm].guest.process(pid)?;
+        let proc = self.vms[0].guest.process(pid)?;
         for vma in &proc.vmas {
             let first_group = vma.start.raw() / GROUP_PAGES;
             let last_group = (vma.end().raw() - 1) / GROUP_PAGES;
@@ -1543,7 +1500,7 @@ impl Machine {
                     .map(GuestVirtPage::new)
                     .filter(|p| vma.contains(*p))
                     .filter_map(|p| proc.page_table.translate(p))
-                    .filter_map(|gfn| self.host.hpte_addr_raw(self.hvpn_in(vm, gfn)))
+                    .filter_map(|gfn| self.host.hpte_addr_raw(self.hvpn_in(0, gfn)))
                     .collect();
                 census.record_group(addrs);
             }
@@ -1559,17 +1516,8 @@ impl Machine {
     ///
     /// Returns [`MemError::NoSuchProcess`] for unknown pids.
     pub fn guest_pt_fragmentation(&self, pid: Pid) -> Result<LineCensus> {
-        self.guest_pt_fragmentation_vm(0, pid)
-    }
-
-    /// [`Machine::guest_pt_fragmentation`] for a process of VM `vm`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::NoSuchProcess`] for unknown pids.
-    pub fn guest_pt_fragmentation_vm(&self, vm: usize, pid: Pid) -> Result<LineCensus> {
         let mut census = LineCensus::default();
-        let proc = self.vms[vm].guest.process(pid)?;
+        let proc = self.vms[0].guest.process(pid)?;
         for vma in &proc.vmas {
             let first_group = vma.start.raw() / GROUP_PAGES;
             let last_group = (vma.end().raw() - 1) / GROUP_PAGES;
@@ -2452,7 +2400,7 @@ mod tests {
 
     #[test]
     fn profiled_touch_run_matches_profiled_per_op_touches() {
-        // touch_run's streak fast path charges its cycles to memo_probe;
+        // touch_run_vm's streak fast path charges its cycles to memo_probe;
         // the equivalence with per-op stepping must hold for the
         // deterministic profile columns too.
         let mut m = machine();
@@ -2462,7 +2410,7 @@ mod tests {
         let run: Vec<(GuestVirtAddr, bool)> = (0..32)
             .map(|i| (GuestVirtAddr::new(va.raw() + (i / 8) * 4096), false))
             .collect();
-        let batched_total = m.touch_run(0, pid, &run).unwrap();
+        let batched_total = m.touch_run_vm(0, 0, pid, &run).unwrap();
         let batched: Vec<(u64, u64)> = m
             .take_profiler()
             .unwrap()
@@ -2526,7 +2474,7 @@ mod tests {
                 .iter()
                 .map(|&(page, w)| (GuestVirtAddr::new(va.raw() + page * 4096), w))
                 .collect();
-            let total = m.touch_run(0, pid, &run).unwrap();
+            let total = m.touch_run_vm(0, 0, pid, &run).unwrap();
             (total, m.ops_executed(), m.metrics_snapshot())
         };
         assert_eq!(per_op, batched, "batching must be bit-identical");

@@ -1,4 +1,9 @@
-//! The colocation engine: interleaved execution of workloads inside one VM.
+//! The colocation engine: the one app scheduler of every run.
+//!
+//! Apps live in VM slots of one [`Machine`]. A single-guest run puts every
+//! app in VM 0; a fleet adds one neighbour app per VM `1..` of a
+//! [`Machine::multi_tenant`] host. Either way the same round-robin loop
+//! interleaves them.
 
 use vmsim_os::{Machine, Pid};
 use vmsim_types::{GuestVirtAddr, MemError, Result, PAGE_SHIFT};
@@ -79,8 +84,10 @@ impl GuestThreads {
     }
 }
 
-/// One application running inside the VM.
+/// One application running inside a VM of the host.
 struct App {
+    /// The VM slot the app runs in (0 unless it is a fleet neighbour).
+    vm: usize,
     pid: Pid,
     core: usize,
     workload: Box<dyn Workload>,
@@ -112,6 +119,20 @@ impl App {
             .flatten()
             .ok_or(MemError::InvalidVma)
     }
+
+    fn set_region(&mut self, handle: u32, base: GuestVirtAddr, pages: u64) {
+        let slot = handle as usize;
+        if slot >= self.regions.len() {
+            self.regions.resize(slot + 1, None);
+        }
+        self.regions[slot] = Some((base, pages));
+    }
+
+    fn take_region(&mut self, handle: u32) -> Result<(GuestVirtAddr, u64)> {
+        let region = self.region(handle)?;
+        self.regions[handle as usize] = None;
+        Ok(region)
+    }
 }
 
 /// A set of colocated applications driven round-robin over a [`Machine`].
@@ -119,7 +140,9 @@ impl App {
 /// Each app is pinned to its own core (the paper pins application and
 /// co-runner threads to distinct cores, §6.1); the engine interleaves their
 /// operations to model concurrent execution, which is what interleaves their
-/// page faults at the buddy allocator.
+/// page faults at the buddy allocator. A round runs the apps in the order
+/// they were added, which is VM order and then app order within a VM; the
+/// apps of a VM that is not running sit the round out.
 ///
 /// # Examples
 ///
@@ -162,12 +185,29 @@ impl Colocation {
         }
     }
 
-    /// Adds an application, pinning it to the next core (wrapping if there
-    /// are more apps than cores). Returns its app index.
+    /// Adds an application to VM 0, pinning it to the next core (wrapping
+    /// if there are more apps than cores). Returns its app index.
     pub fn add_app(&mut self, workload: Box<dyn Workload>, weight: u32) -> usize {
+        self.add_vm_app(0, workload, weight)
+    }
+
+    /// Adds an application to VM `vm`. Apps are added in VM order, so a
+    /// round visits VMs in order. Cores are assigned by global app index
+    /// modulo the core count, whatever the VM.
+    pub(crate) fn add_vm_app(
+        &mut self,
+        vm: usize,
+        workload: Box<dyn Workload>,
+        weight: u32,
+    ) -> usize {
+        debug_assert!(
+            self.apps.last().is_none_or(|last| last.vm <= vm),
+            "apps are added in VM order"
+        );
         let core = self.apps.len() % self.machine.caches().core_count();
-        let pid = self.machine.guest_mut().spawn();
+        let pid = self.machine.vm_guest_mut(vm).spawn();
         self.apps.push(App {
+            vm,
             pid,
             core,
             workload,
@@ -207,6 +247,25 @@ impl Colocation {
     /// phases).
     pub fn machine_mut(&mut self) -> &mut Machine {
         &mut self.machine
+    }
+
+    /// Restarts app `idx` as a fresh process running `workload` in the same
+    /// VM, on the same core and at the same weight: what a rebooted VM runs.
+    /// The app starts serial; [`Colocation::set_app_threads`] re-arms it.
+    pub(crate) fn respawn(&mut self, idx: usize, workload: Box<dyn Workload>) {
+        let app = &mut self.apps[idx];
+        app.pid = self.machine.vm_guest_mut(app.vm).spawn();
+        app.workload = workload;
+        app.regions.clear();
+        app.cycles = 0;
+        app.ops = 0;
+        app.running = true;
+        app.threads = None;
+    }
+
+    /// Number of apps added so far.
+    pub(crate) fn app_count(&self) -> usize {
+        self.apps.len()
     }
 
     /// The guest pid of app `idx`.
@@ -257,12 +316,8 @@ impl Colocation {
         let op = app.workload.next_op();
         match op {
             Op::Alloc { region, pages } => {
-                let base = self.machine.guest_mut().mmap(app.pid, pages)?;
-                let slot = region as usize;
-                if slot >= app.regions.len() {
-                    app.regions.resize(slot + 1, None);
-                }
-                app.regions[slot] = Some((base, pages));
+                let base = self.machine.vm_guest_mut(app.vm).mmap(app.pid, pages)?;
+                app.set_region(region, base, pages);
             }
             Op::Touch {
                 region,
@@ -272,13 +327,15 @@ impl Colocation {
                 let (base, pages) = app.region(region)?;
                 debug_assert!(page_idx < pages);
                 let va = GuestVirtAddr::new(base.raw() + (page_idx << PAGE_SHIFT));
-                let out = self.machine.touch(app.core, app.pid, va, write)?;
+                let out = self
+                    .machine
+                    .touch_vm(app.vm, app.core, app.pid, va, write)?;
                 app.cycles += out.cycles;
             }
             Op::Free { region } => {
-                let (base, pages) = app.region(region)?;
-                app.regions[region as usize] = None;
-                self.machine.munmap(app.pid, base.page(), pages)?;
+                let (base, pages) = app.take_region(region)?;
+                self.machine
+                    .munmap_vm(app.vm, app.pid, base.page(), pages)?;
             }
         }
         app.ops += 1;
@@ -288,8 +345,8 @@ impl Colocation {
     /// Runs one scheduling round: every running app executes `weight` ops.
     ///
     /// Each app's quantum is executed in batched form: consecutive `Touch`
-    /// ops are coalesced and played through [`Machine::touch_run`], which is
-    /// bit-identical to per-op [`Machine::touch`] calls but replays
+    /// ops are coalesced and played through [`Machine::touch_run_vm`], which
+    /// is bit-identical to per-op [`Machine::touch_vm`] calls but replays
     /// same-page streaks without revalidation. Alloc/Free ops flush the
     /// pending batch first, so the machine sees exactly the per-op order.
     ///
@@ -300,10 +357,11 @@ impl Colocation {
     /// whole run is abandoned on error, so the distinction is unobservable).
     pub fn round(&mut self) -> Result<()> {
         for idx in 0..self.apps.len() {
-            if !self.apps[idx].running {
+            let app = &self.apps[idx];
+            if !app.running || !self.machine.vm_running(app.vm) {
                 continue;
             }
-            let quantum = u64::from(self.apps[idx].weight);
+            let quantum = u64::from(app.weight);
             self.run_quantum(idx, quantum)?;
         }
         Ok(())
@@ -313,80 +371,34 @@ impl Colocation {
     fn run_quantum(&mut self, idx: usize, count: u64) -> Result<()> {
         let mut batch = std::mem::take(&mut self.touch_buf);
         batch.clear();
-        let result = self.run_quantum_inner(idx, count, &mut batch);
+        let mut threads = self.apps[idx].threads.take();
+        let result = self.run_quantum_inner(idx, count, &mut batch, threads.as_mut());
+        self.apps[idx].threads = threads;
         self.touch_buf = batch;
         result
     }
 
+    /// The op loop of one quantum. With an interleaver (`threads` is
+    /// `Some`), each op is issued by its current simulated thread: Touch
+    /// pages are striped per thread, and the pending batch is flushed on
+    /// every thread switch so fault attribution follows the issuing thread.
+    /// Alloc and Free take no page faults, so they need no attribution.
+    /// With `None` no thread state is read or written, which keeps
+    /// `threads: 1` byte-identical to an engine without threads.
     fn run_quantum_inner(
         &mut self,
         idx: usize,
         count: u64,
         batch: &mut Vec<(GuestVirtAddr, bool)>,
+        mut threads: Option<&mut GuestThreads>,
     ) -> Result<()> {
-        // Multi-threaded apps take the interleaved path; serial apps run
-        // the literal legacy loop below, so `threads: 1` stays
-        // byte-identical at every level (cycles, counters, trace bytes).
-        if self.apps[idx].threads.is_some() {
-            let mut th = self.apps[idx].threads.take().expect("checked above");
-            let result = self.run_quantum_threaded(idx, count, batch, &mut th);
-            self.apps[idx].threads = Some(th);
-            return result;
+        if let Some(th) = threads.as_deref() {
+            // Another VM's app may have moved the machine's active thread
+            // since this app last ran.
+            self.machine.set_active_thread(th.current());
         }
         for _ in 0..count {
-            let app = &mut self.apps[idx];
-            let op = app.workload.next_op();
-            app.ops += 1;
-            match op {
-                Op::Touch {
-                    region,
-                    page_idx,
-                    write,
-                } => {
-                    let (base, pages) = app.region(region)?;
-                    debug_assert!(page_idx < pages);
-                    batch.push((
-                        GuestVirtAddr::new(base.raw() + (page_idx << PAGE_SHIFT)),
-                        write,
-                    ));
-                }
-                Op::Alloc { region, pages } => {
-                    self.flush_batch(idx, batch)?;
-                    let app = &mut self.apps[idx];
-                    let base = self.machine.guest_mut().mmap(app.pid, pages)?;
-                    let slot = region as usize;
-                    if slot >= app.regions.len() {
-                        app.regions.resize(slot + 1, None);
-                    }
-                    app.regions[slot] = Some((base, pages));
-                }
-                Op::Free { region } => {
-                    self.flush_batch(idx, batch)?;
-                    let app = &mut self.apps[idx];
-                    let (base, pages) = app.region(region)?;
-                    app.regions[region as usize] = None;
-                    self.machine.munmap(app.pid, base.page(), pages)?;
-                }
-            }
-        }
-        self.flush_batch(idx, batch)
-    }
-
-    /// The interleaved counterpart of [`Colocation::run_quantum_inner`]:
-    /// ops still come off the workload stream in order, but each is issued
-    /// by the interleaver's current simulated thread — Touch pages are
-    /// striped per thread, the pending batch is flushed on every thread
-    /// switch (so fault attribution follows the issuing thread), and
-    /// Alloc/Free run on thread 0, the runtime thread.
-    fn run_quantum_threaded(
-        &mut self,
-        idx: usize,
-        count: u64,
-        batch: &mut Vec<(GuestVirtAddr, bool)>,
-        th: &mut GuestThreads,
-    ) -> Result<()> {
-        for _ in 0..count {
-            if let Some(next) = th.advance() {
+            if let Some(next) = threads.as_deref_mut().and_then(GuestThreads::advance) {
                 self.flush_batch(idx, batch)?;
                 self.machine.set_active_thread(next);
             }
@@ -401,29 +413,23 @@ impl Colocation {
                 } => {
                     let (base, pages) = app.region(region)?;
                     debug_assert!(page_idx < pages);
-                    let page = th.stripe(page_idx, pages);
+                    let page = threads
+                        .as_deref()
+                        .map_or(page_idx, |th| th.stripe(page_idx, pages));
                     batch.push((GuestVirtAddr::new(base.raw() + (page << PAGE_SHIFT)), write));
                 }
                 Op::Alloc { region, pages } => {
                     self.flush_batch(idx, batch)?;
-                    self.machine.set_active_thread(0);
                     let app = &mut self.apps[idx];
-                    let base = self.machine.guest_mut().mmap(app.pid, pages)?;
-                    let slot = region as usize;
-                    if slot >= app.regions.len() {
-                        app.regions.resize(slot + 1, None);
-                    }
-                    app.regions[slot] = Some((base, pages));
-                    self.machine.set_active_thread(th.current);
+                    let base = self.machine.vm_guest_mut(app.vm).mmap(app.pid, pages)?;
+                    app.set_region(region, base, pages);
                 }
                 Op::Free { region } => {
                     self.flush_batch(idx, batch)?;
-                    self.machine.set_active_thread(0);
                     let app = &mut self.apps[idx];
-                    let (base, pages) = app.region(region)?;
-                    app.regions[region as usize] = None;
-                    self.machine.munmap(app.pid, base.page(), pages)?;
-                    self.machine.set_active_thread(th.current);
+                    let (base, pages) = app.take_region(region)?;
+                    self.machine
+                        .munmap_vm(app.vm, app.pid, base.page(), pages)?;
                 }
             }
         }
@@ -436,7 +442,9 @@ impl Colocation {
             return Ok(());
         }
         let app = &mut self.apps[idx];
-        app.cycles += self.machine.touch_run(app.core, app.pid, batch)?;
+        app.cycles += self
+            .machine
+            .touch_run_vm(app.vm, app.core, app.pid, batch)?;
         batch.clear();
         Ok(())
     }
@@ -683,6 +691,32 @@ mod tests {
         );
         let snap = c.machine().metrics_snapshot();
         assert_eq!(snap.get("threads.count").and_then(|v| v.as_u64()), Some(4));
+    }
+
+    #[test]
+    fn apps_of_a_stopped_vm_sit_out_until_respawned() {
+        let machine = Machine::multi_tenant(MachineConfig::small(), 2, |_| {
+            Box::new(vmsim_os::DefaultAllocator::new())
+        });
+        let mut c = Colocation::new(machine);
+        let a = c.add_app(small_stream(), 1);
+        let b = c.add_vm_app(1, small_churn(), 1);
+        assert_ne!(c.core(a), c.core(b), "cores follow the global app index");
+        for _ in 0..10 {
+            c.round().unwrap();
+        }
+        assert!(c.machine().vm_guest(1).stats().faults > 0);
+        c.machine_mut().kill_vm(1);
+        let before = c.ops(b);
+        for _ in 0..10 {
+            c.round().unwrap();
+        }
+        assert_eq!(c.ops(b), before, "a killed VM's apps do not run");
+        c.machine_mut().boot_vm(1);
+        c.respawn(b, small_churn());
+        c.round().unwrap();
+        assert_eq!(c.ops(b), 1, "the rebooted VM runs a fresh app");
+        assert_eq!(c.ops(a), 21);
     }
 
     #[test]

@@ -4,14 +4,18 @@
 //! The crate turns the substrate (machine + workloads) into the paper's
 //! experiments:
 //!
-//! * [`engine`] — runs a set of workloads colocated inside one VM,
-//!   interleaving their operations (each app pinned to its own core, as the
-//!   paper pins threads), and accumulates per-app cycle counts;
-//! * `colo` — the host-scale counterpart: N guest VMs colocated on one
-//!   overcommitted multi-tenant host, with VM churn and balloon pressure
-//!   (reached through [`Scenario::vms`] / a manifest's `vms` section);
-//! * [`scenario`] — declarative description of one run: benchmark,
-//!   co-runners, allocator, co-runner stop protocol, measurement length;
+//! * [`engine`] — the one app scheduler: runs a set of workloads in VM
+//!   slots of one machine, interleaving their operations (each app pinned
+//!   to its own core, as the paper pins threads), and accumulates per-app
+//!   cycle counts;
+//! * `fleet` — the multi-tenant rules and steps: with a `vms` section
+//!   ([`Scenario::vms`]), N guest VMs share one overcommitted host, VM 0
+//!   runs the measured apps and every other VM a neighbour instance, under
+//!   VM churn and balloon pressure;
+//! * [`scenario`] — declarative description of one run (benchmark,
+//!   co-runners, allocator, co-runner stop protocol, measurement length,
+//!   tenancy) and the one run loop that executes it, single guest or
+//!   fleet;
 //! * [`driver`] — the manifest execution engine: expands a
 //!   `vmsim_config::ExperimentManifest` into scenario runs on the worker
 //!   pool and assembles the typed, paper-shaped outcome. Every experiment
@@ -51,9 +55,9 @@
 //! ```
 
 pub mod artifacts;
-mod colo;
 pub mod driver;
 pub mod engine;
+mod fleet;
 pub mod journal;
 pub mod obs;
 pub mod parallel;

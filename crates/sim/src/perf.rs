@@ -244,7 +244,7 @@ pub fn run_kernels() -> Vec<Kernel> {
         }),
     });
 
-    // batched_vma_run: 128 pages x 4 touches each through touch_run.
+    // batched_vma_run: 128 pages x 4 touches each through touch_run_vm.
     let mut m = Machine::new(MachineConfig::paper(1, 1024));
     let pid = m.guest_mut().spawn();
     let base = m.guest_mut().mmap(pid, 128).expect("mmap");
@@ -254,11 +254,11 @@ pub fn run_kernels() -> Vec<Kernel> {
             [(va, true), (va, false), (va, false), (va, false)]
         })
         .collect();
-    m.touch_run(0, pid, &run).expect("warm run");
+    m.touch_run_vm(0, 0, pid, &run).expect("warm run");
     out.push(Kernel {
         name: "batched_vma_run",
         ns_per_op: median_ns_per_op(500, || {
-            m.touch_run(0, pid, &run).expect("run");
+            m.touch_run_vm(0, 0, pid, &run).expect("run");
         }),
     });
 

@@ -9,8 +9,8 @@ use vmsim_workloads::{benchmark, corunner, BenchId, CoId, Phase};
 
 use vmsim_config::VmsSpec;
 
-use crate::colo::{self, ColoParams};
 use crate::engine::Colocation;
+use crate::fleet::{self, Fleet};
 use crate::obs::{ObsConfig, ObservedRun};
 use crate::progress::Pulse;
 
@@ -36,9 +36,8 @@ impl CellBudget {
 }
 
 /// Wall-budget bookkeeping: checks the clock every `CHECK_ROUNDS` scheduler
-/// rounds so the hot loop never syscalls per round. Shared with the
-/// multi-tenant engine ([`crate::colo`]), which runs the same protocol.
-pub(crate) struct WallBudget {
+/// rounds so the hot loop never syscalls per round.
+struct WallBudget {
     deadline: Option<Instant>,
     rounds: u32,
 }
@@ -46,7 +45,7 @@ pub(crate) struct WallBudget {
 impl WallBudget {
     const CHECK_ROUNDS: u32 = 64;
 
-    pub(crate) fn start(limit: Option<Duration>) -> Self {
+    fn start(limit: Option<Duration>) -> Self {
         Self {
             deadline: limit.map(|d| Instant::now() + d),
             rounds: 0,
@@ -55,7 +54,7 @@ impl WallBudget {
 
     /// True when the deadline has passed (checked at most every
     /// `CHECK_ROUNDS` calls).
-    pub(crate) fn expired(&mut self) -> bool {
+    fn expired(&mut self) -> bool {
         let Some(deadline) = self.deadline else {
             return false;
         };
@@ -69,7 +68,7 @@ impl WallBudget {
 
     /// True when the deadline has passed, checked immediately (for the
     /// chunked measured phase, where calls are already infrequent).
-    pub(crate) fn expired_now(&self) -> bool {
+    fn expired_now(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
@@ -204,17 +203,18 @@ pub struct Scenario {
     /// many frames before anything runs (power of two).
     prefragment_run: Option<u64>,
     /// If set, install deterministic fault injection before the workloads
-    /// start (seeded from the plan seed and the scenario seed).
+    /// start (seeded from the plan seed and the scenario seed). The plan
+    /// arms VM 0's guest only.
     faults: Option<FaultPlan>,
     /// Overrides the `VMSIM_MEMO` environment default for this run (the
     /// differential suite runs memo-on and memo-off side by side in one
     /// process, where a global env var cannot express both).
     memo: Option<bool>,
-    /// If set *and* active, the run executes on a multi-tenant host
-    /// ([`crate::colo`]): `count` VMs each running this scenario's
-    /// benchmark, sharing an overcommitted host pool. An inactive spec
-    /// (1 VM, no overcommit, no churn, no balloon) keeps the classic
-    /// single-guest path, bit-identically.
+    /// If set *and* active, the run executes on a multi-tenant host: VM 0
+    /// runs this scenario's apps and `count - 1` neighbour VMs each run
+    /// the benchmark, sharing an overcommitted host pool. An inactive spec
+    /// (1 VM, no overcommit, no churn, no balloon) is the single-guest
+    /// shape, bit-identically.
     vms: Option<VmsSpec>,
     /// Simulated guest threads of the benchmark app. 1 (the default)
     /// routes through the serial engine bit-identically; above 1 the
@@ -307,7 +307,9 @@ impl Scenario {
 
     /// Installs a deterministic fault plan for the run. A
     /// [`FaultPlan::is_zero`] plan leaves the run bit-identical to a
-    /// fault-free one.
+    /// fault-free one. On a multi-tenant host the plan arms VM 0's guest
+    /// only: neighbours, and VMs rebooted by churn, never roll denials and
+    /// never see the plan's scheduled triggers.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -322,11 +324,13 @@ impl Scenario {
     }
 
     /// Runs the scenario on a multi-tenant host shaped by `spec`: `count`
-    /// VMs (each running this benchmark under its own guest kernel and a
-    /// fresh instance of the allocator policy) share one host pool sized by
-    /// the overcommit ratio, with optional VM churn and balloon pressure.
-    /// An inactive spec ([`VmsSpec::is_active`] is false) leaves the run on
-    /// the classic single-guest path, bit-identically.
+    /// VMs, each under its own guest kernel and a fresh instance of the
+    /// allocator policy, share one host pool sized by the overcommit ratio,
+    /// with optional VM churn and balloon pressure. VM 0 runs this
+    /// scenario's benchmark and co-runners; every other VM runs one
+    /// neighbour instance of the benchmark. An inactive spec
+    /// ([`VmsSpec::is_active`] is false) is the single-guest shape,
+    /// bit-identically.
     pub fn vms(mut self, spec: VmsSpec) -> Self {
         self.vms = Some(spec);
         self
@@ -441,32 +445,13 @@ impl Scenario {
         on_pulse: &mut dyn FnMut(Pulse),
     ) -> core::result::Result<ObservedRun, RunError> {
         let cores = 1 + self.corunners.len();
-        let config = self
+        let mut config = self
             .machine
             .unwrap_or_else(|| MachineConfig::paper(cores, 1024));
-        // An *active* multi-tenant spec hands the whole run to the
-        // host-scale engine; an inactive one (the explicit single-guest
-        // shape) stays on this path so legacy results are byte-identical.
-        if let Some(spec) = self.vms.filter(VmsSpec::is_active) {
-            let allocator_name = match &self.custom_allocator {
-                Some(custom) => custom.name(),
-                None => self.allocator.name(),
-            };
-            let params = ColoParams {
-                spec,
-                benchmark: self.benchmark,
-                allocator_name,
-                measure_ops: self.measure_ops,
-                seed: self.seed,
-                config,
-                memo: self
-                    .memo
-                    .unwrap_or_else(vmsim_config::env::memo_enabled_or_default),
-                faults: self.faults,
-                threads: self.threads,
-            };
-            return colo::run_colo(params, obs, budget, heartbeat_ops, on_pulse);
-        }
+        // The fleet shape, resolved once: every rule that sets a fleet
+        // apart from a single guest reads this.
+        let vms = self.vms.filter(VmsSpec::is_active);
+        config.host_frames = fleet::host_frames(vms.as_ref(), &config);
         let (allocator, allocator_name) = match self.custom_allocator {
             Some(custom) => {
                 let name = custom.name();
@@ -474,7 +459,15 @@ impl Scenario {
             }
             None => (self.allocator.build(), self.allocator.name()),
         };
-        let mut machine = Machine::with_allocator(config, allocator);
+        let mut machine = match &vms {
+            None => Machine::with_allocator(config, allocator),
+            // Every VM of a fleet, and every reboot, gets a fresh instance
+            // of the policy from the registry.
+            Some(spec) => Machine::multi_tenant(config, fleet::vm_count(spec), move |_| {
+                ptemagnet::registry::resolve(allocator_name)
+                    .expect("policy pre-validated by the driver")
+            }),
+        };
         // VMSIM_MEMO escape hatch: the memo layer is validated bit-invisible
         // (see the differential suite), so this only affects wall-clock.
         machine.set_memo_enabled(
@@ -494,12 +487,9 @@ impl Scenario {
         }
         let mut colo = Colocation::new(machine);
 
-        let primary = colo.add_app(Box::new(benchmark(self.benchmark, self.seed)), 1);
-        // threads == 1 never touches the engine or the machine, so the
-        // serial path stays byte-identical (the differential proof).
-        if self.threads > 1 {
-            colo.set_app_threads(primary, self.threads, self.seed);
-        }
+        let seed = fleet::workload_seed(vms.as_ref(), self.seed, 0, 1);
+        let primary = colo.add_app(Box::new(benchmark(self.benchmark, seed)), 1);
+        colo.set_app_threads(primary, self.threads, seed);
         let co_idxs: Vec<usize> = self
             .corunners
             .iter()
@@ -511,6 +501,8 @@ impl Scenario {
                 )
             })
             .collect();
+        let mut fleet =
+            vms.map(|spec| Fleet::spawn(spec, self.benchmark, self.seed, self.threads, &mut colo));
 
         // Phase A: allocation/init, with co-runner faults interleaving. The
         // wall budget is checked on a coarse round cadence; expiring here —
@@ -519,6 +511,9 @@ impl Scenario {
         let mut wall = WallBudget::start(budget.soft_wall);
         while colo.phase(primary) == Phase::Init {
             colo.round()?;
+            if let Some(fleet) = fleet.as_mut() {
+                fleet.after_init_round(&mut colo);
+            }
             if wall.expired() {
                 return Err(RunError::BudgetExceeded {
                     budget: "wall",
@@ -606,6 +601,9 @@ impl Scenario {
             let chunk = CHUNK_OPS.min(effective_ops - executed_ops);
             colo.run_ops(primary, chunk, &mut sample)?;
             executed_ops += chunk;
+            if let Some(fleet) = fleet.as_mut() {
+                fleet.after_chunk(&mut colo, executed_ops);
+            }
             if executed_ops / heartbeat_ops > pulsed_at / heartbeat_ops {
                 pulsed_at = executed_ops;
                 on_pulse(pulse(&colo, executed_ops));
@@ -657,7 +655,9 @@ impl Scenario {
             } else {
                 (unused_sum / u128::from(samples)) as f64
             },
-            total_faults: colo.machine().guest().stats().faults,
+            total_faults: (0..colo.machine().vm_count())
+                .map(|vm| colo.machine().vm_guest(vm).stats().faults)
+                .sum(),
             reservation_fallbacks: gauge("reservation.fallbacks"),
             reclaimed_frames: gauge("reservation.reclaimed_frames"),
             faults_injected: gauge("faults.injected"),

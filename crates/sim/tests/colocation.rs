@@ -11,7 +11,8 @@
 
 use vmsim_config::{builtin, SimConfig, VmsSpec};
 use vmsim_sim::driver::{run_manifest, Outcome};
-use vmsim_sim::ObsConfig;
+use vmsim_sim::journal::fnv1a;
+use vmsim_sim::{ObsConfig, ObservedRun};
 
 /// A small two-cell manifest (gcc x {default, ptemagnet}) with full
 /// observability, cheap enough for debug-mode CI.
@@ -128,4 +129,95 @@ fn workload_vms_section_overrides_the_manifest_level_one() {
         fleet.total_faults,
         single.total_faults
     );
+}
+
+/// A reduced fleet cell with every host-level mechanism live: 4 VMs on
+/// 2.5x overcommit, churn, the balloon governor, two simulated guest
+/// threads per VM, and trace plus epoch series on.
+fn golden_fleet_manifest() -> vmsim_config::ExperimentManifest {
+    let mut m = small_manifest();
+    m.measure_ops = 4_000;
+    m.sim = Some(SimConfig {
+        guest_mb: Some(48),
+        cores: Some(2),
+        ..SimConfig::default()
+    });
+    if let vmsim_config::ExperimentSpec::Matrix(matrix) = &mut m.experiment {
+        let spec = VmsSpec {
+            count: 4,
+            overcommit: 2.5,
+            churn_period_ops: Some(2_000),
+            churn_kills: 1,
+            balloon_watermark: Some(0.12),
+        };
+        matrix.workloads[0] = matrix.workloads[0].clone().with_vms(spec).with_threads(2);
+    }
+    m
+}
+
+#[test]
+fn fleet_artifacts_match_their_golden_digests() {
+    let run = run_manifest(&golden_fleet_manifest()).expect("fleet manifest runs");
+    let trace: Vec<String> = run
+        .cells
+        .iter()
+        .map(|c| c.events_jsonl().expect("cell completed"))
+        .collect();
+    // The cell really exercises churn, ballooning, and the interleaver.
+    assert!(trace.iter().any(|t| t.contains("\"event\":\"vm_kill\"")));
+    assert!(trace.iter().any(|t| t.contains("\"event\":\"vm_boot\"")));
+    assert!(trace.iter().any(|t| t.contains("\"event\":\"balloon\"")));
+    let mut digests = vec![fnv1a(run.results_json().as_bytes())];
+    for (cell, trace) in run.cells.iter().zip(&trace) {
+        let series = cell.series_csv().expect("cell completed");
+        assert!(series.contains("threads.contended_group_faults"));
+        digests.push(fnv1a(series.as_bytes()));
+        digests.push(fnv1a(trace.as_bytes()));
+    }
+    let hex: Vec<String> = digests.iter().map(|d| format!("{d:016x}")).collect();
+    assert_eq!(hex, GOLDEN_FLEET_DIGESTS, "fleet artifact bytes moved");
+}
+
+/// FNV-1a digests of the golden fleet's results JSON, then each cell's
+/// epoch CSV and trace JSONL in run order.
+const GOLDEN_FLEET_DIGESTS: [&str; 5] = [
+    "a209d554565335b8",
+    "fbff0c0280226257",
+    "611ae580e2320550",
+    "62c7f68411dbf432",
+    "bedc4a9f6814c64e",
+];
+
+#[test]
+fn fleet_workloads_run_their_corunners_in_vm_0() {
+    let fleet = |corunners: &[&str]| {
+        let mut m = small_manifest();
+        if let vmsim_config::ExperimentSpec::Matrix(matrix) = &mut m.experiment {
+            let mut w = matrix.workloads[0].clone().with_vms(VmsSpec {
+                count: 3,
+                overcommit: 1.2,
+                ..VmsSpec::default()
+            });
+            w.corunners = corunners.iter().map(ToString::to_string).collect();
+            w.corunner_weight = 2;
+            matrix.workloads[0] = w;
+        }
+        run_manifest(&m).expect("fleet manifest runs")
+    };
+    let solo = fleet(&[]);
+    let with_co = fleet(&["stress-ng"]);
+    let gauge = |run: &ObservedRun, name: &str| {
+        run.snapshot
+            .get(name)
+            .and_then(|v| v.as_u64())
+            .expect("fleet gauge")
+    };
+    for (s, c) in solo.cells.iter().zip(&with_co.cells) {
+        let (s, c) = (s.observed().expect("ran"), c.observed().expect("ran"));
+        assert_ne!(c.metrics, s.metrics, "the co-runner must change the run");
+        // The co-runner faults inside VM 0, next to the benchmark...
+        assert!(gauge(c, "vm.0.faults") > gauge(s, "vm.0.faults"));
+        // ...and nowhere else: a neighbour runs the same ops either way.
+        assert_eq!(gauge(c, "vm.1.faults"), gauge(s, "vm.1.faults"));
+    }
 }
