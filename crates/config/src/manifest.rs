@@ -1406,6 +1406,18 @@ mod tests {
     }
 
     #[test]
+    fn python_escaped_astral_text_decodes_to_one_scalar() {
+        // Python's `json.dumps` writes every non-BMP character as an
+        // escaped surrogate pair.
+        let json = sample()
+            .to_json()
+            .replace("round-trip sample", "fig \\ud83d\\ude00");
+        let parsed = ExperimentManifest::from_json(&json).expect("parse");
+        assert_eq!(parsed.description, "fig \u{1F600}");
+        assert!(parsed.to_json().contains("\"fig \u{1F600}\""));
+    }
+
+    #[test]
     fn special_kinds_round_trip() {
         for experiment in [
             ExperimentSpec::AllocLatency { pages: 65_536 },

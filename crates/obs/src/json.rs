@@ -1,10 +1,32 @@
 //! Minimal JSON writer helpers and recursive-descent parser.
 //!
 //! The build environment has no `serde_json`, so the observability layer
-//! hand-writes its JSON and carries its own parser for schema sanity checks
-//! (`vmsim run` re-parses every artifact it writes and fails loudly on
-//! malformed output). The dialect is plain RFC 8259 JSON; the writer never
+//! hand-writes its JSON and carries its own parser. It is the one parser
+//! behind every JSON input in the tree: `vmsim run` re-parses every
+//! artifact it writes and fails loudly on malformed output, run journals
+//! and the serve admission journal are replayed through it, and manifests
+//! and the serve line protocol are read with it. The writer never
 //! produces NaN/infinite numbers (they are mapped to `null`).
+//!
+//! # Accepted grammar
+//!
+//! [`parse`] accepts exactly RFC 8259 JSON text:
+//!
+//! * one value, optionally surrounded by `' '`, `\t`, `\n` and `\r`;
+//! * numbers in the RFC form `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`
+//!   (`-0` and `1E+2` are valid; `01`, `1.`, `-.5` and `1.e5` are not),
+//!   read as the nearest `f64`;
+//! * strings with the escapes `\"`, `\\`, `\/`, `\b`, `\f`, `\n`, `\r`,
+//!   `\t` and `\uXXXX`. An escaped UTF-16 surrogate pair (`\ud83d\ude00`)
+//!   decodes to its one scalar; a lone surrogate decodes to U+FFFD. A raw
+//!   control character (U+0000–U+001F) inside a string is an error.
+//!
+//! # Linear time
+//!
+//! Parsing is linear in the input length. A string's unescaped bytes are
+//! copied a run at a time (up to the next `"`, `\` or control byte) rather
+//! than one character at a time, so a journal entry carrying megabytes of
+//! escaped trace JSONL parses in milliseconds.
 
 use std::fmt::Write as _;
 
@@ -87,6 +109,7 @@ impl std::error::Error for ParseError {}
 /// garbage is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -100,6 +123,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -205,6 +229,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next delimiter in one
+            // go. Every delimiter is ASCII, so the run ends on a char
+            // boundary of the input `&str`.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -224,9 +257,7 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             self.pos += 1;
-                            let code = self.hex4()?;
-                            // Surrogate pairs are not produced by our writer;
-                            // lone surrogates decode to the replacement char.
+                            let code = self.unicode_escape()?;
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                             continue;
                         }
@@ -234,16 +265,29 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
+        }
+    }
+
+    /// The code point of a `\uXXXX` escape whose `\u` is consumed. A high
+    /// surrogate directly followed by an escaped low surrogate combines
+    /// with it into one scalar; any other surrogate is returned as is and
+    /// decodes to U+FFFD.
+    fn unicode_escape(&mut self) -> Result<u32, ParseError> {
+        let code = self.hex4()?;
+        if !(0xD800..0xDC00).contains(&code) || !self.bytes[self.pos..].starts_with(b"\\u") {
+            return Ok(code);
+        }
+        let high_end = self.pos;
+        self.pos += 2;
+        let low = self.hex4()?;
+        if (0xDC00..0xE000).contains(&low) {
+            Ok(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+        } else {
+            // Not a pair: the next escape decodes on its own.
+            self.pos = high_end;
+            Ok(code)
         }
     }
 
@@ -264,16 +308,29 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
+        let invalid = ParseError {
+            pos: start,
+            msg: "invalid number",
+        };
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(b'0'..=b'9')) {
+                    return Err(invalid);
+                }
+            }
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(invalid),
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(invalid);
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -281,15 +338,23 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(invalid);
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().map(Json::Num).map_err(|_| ParseError {
-            pos: start,
-            msg: "invalid number",
-        })
+        self.input[start..self.pos]
+            .parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| invalid)
+    }
+
+    /// Consumes a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -367,6 +432,132 @@ mod tests {
     fn unicode_escape_decodes() {
         assert_eq!(parse("\"\\u0041b\"").unwrap().as_str(), Some("Ab"));
         assert_eq!(parse("\"é\"").unwrap().as_str(), Some("é"));
+    }
+
+    #[test]
+    fn escaped_surrogate_pair_decodes_to_one_scalar() {
+        assert_eq!(
+            parse("\"\\ud83d\\ude00\"").unwrap().as_str(),
+            Some("\u{1F600}")
+        );
+        assert_eq!(
+            parse("\"a\\uD834\\uDD1Eb\"").unwrap().as_str(),
+            Some("a\u{1D11E}b")
+        );
+        // Lone surrogates still decode to the replacement character, and
+        // an escape after an unpaired high surrogate decodes on its own.
+        assert_eq!(parse("\"\\ud83d\"").unwrap().as_str(), Some("\u{FFFD}"));
+        assert_eq!(parse("\"\\ude00x\"").unwrap().as_str(), Some("\u{FFFD}x"));
+        assert_eq!(
+            parse("\"\\ud83d\\u0041\"").unwrap().as_str(),
+            Some("\u{FFFD}A")
+        );
+        assert_eq!(
+            parse("\"\\ud83d\\ud83d\\ude00\"").unwrap().as_str(),
+            Some("\u{FFFD}\u{1F600}")
+        );
+        let err = parse("\"\\ud83d\\u00zz\"").unwrap_err();
+        assert_eq!((err.pos, err.msg), (11, "invalid \\u escape"));
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        for byte in 0u8..0x20 {
+            let doc = format!("{{\"k\": \"ab{}c\"}}", byte as char);
+            let err = parse(&doc).unwrap_err();
+            assert_eq!(
+                err,
+                ParseError {
+                    pos: 9,
+                    msg: "unescaped control character in string"
+                },
+                "byte {byte:#04x}"
+            );
+        }
+        // Escaped, they are fine; DEL is not a control character in JSON.
+        assert_eq!(
+            parse("\"\\u001f\\t\x7f\"").unwrap().as_str(),
+            Some("\u{1f}\t\x7f")
+        );
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for bad in [
+            "01", "-01", "00", "1.", "-.5", "1.e5", "-", "1e", "1e+", "+1", "-a",
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.pos, 0, "{bad}");
+            assert!(
+                matches!(err.msg, "invalid number" | "expected a JSON value"),
+                "{bad}: {err}"
+            );
+        }
+        assert_eq!(
+            parse("[1.]").unwrap_err(),
+            ParseError {
+                pos: 1,
+                msg: "invalid number"
+            }
+        );
+        for (good, value) in [
+            ("-0", -0.0f64),
+            ("0", 0.0),
+            ("1E+2", 100.0),
+            ("1e-2", 0.01),
+            ("-0.5", -0.5),
+            ("10.25E2", 1025.0),
+            ("0e0", 0.0),
+        ] {
+            let parsed = parse(good).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), value.to_bits(), "{good}");
+        }
+    }
+
+    #[test]
+    fn multi_mebibyte_trace_string_parses_in_linear_time() {
+        use crate::trace::{Event, EventKind};
+        use std::time::{Duration, Instant};
+
+        // Trace JSONL as a journal `events` field carries it: after
+        // `write_str`, an escaped quote every few bytes.
+        let mut text = String::new();
+        let mut op = 0u64;
+        while text.len() < 4 << 20 {
+            let kind = match op % 3 {
+                0 => EventKind::PageFault {
+                    pid: 1,
+                    vpn: op * 7,
+                    gfn: op * 13,
+                    huge: false,
+                },
+                1 => EventKind::PtWalk {
+                    levels: 24,
+                    cycles: op % 997,
+                    pwc_hits: 2,
+                },
+                _ => EventKind::ReservationHit {
+                    pid: 1,
+                    vpn: op * 7,
+                    gfn: op * 13 + 1,
+                },
+            };
+            text.push_str(&Event { op, kind }.to_json());
+            text.push('\n');
+            op += 1;
+        }
+        let mut doc = String::new();
+        write_str(&mut doc, &text);
+
+        let start = Instant::now();
+        let back = parse(&doc).expect("escaped trace parses");
+        let elapsed = start.elapsed();
+        assert!(back.as_str() == Some(text.as_str()), "decoded text differs");
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "parsing {} bytes took {elapsed:?}",
+            doc.len()
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Four pinned scenario cells — gcc and mcf under the default and
 //! ptemagnet allocators, fig6 protocol with an objdet co-runner — plus
-//! wall-clock microkernels of the translation core and the PaRT. Each cell
-//! reports two ledgers:
+//! wall-clock microkernels of the translation core, the PaRT and the JSON
+//! parser. Each cell reports two ledgers:
 //!
 //! * **deterministic** — cost-model counters (cycles, TLB traffic, memo
 //!   coverage) and the phase profiler's cycle attribution: identical on
@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use vmsim_obs::{json, Phase, PhaseProfile, Profiler};
+use vmsim_obs::{json, Event, EventKind, Phase, PhaseProfile, Profiler};
 use vmsim_os::{Machine, MachineConfig, MemoStats};
 use vmsim_types::{GuestFrame, GuestVirtAddr, GROUP_PAGES, PAGE_SIZE};
 use vmsim_workloads::{benchmark, corunner, BenchId, CoId};
@@ -155,9 +155,9 @@ fn median_ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
 }
 
 /// The microkernels: cold full walks, memo-hit replays, a round-robin
-/// touch over an 8-VM multi-tenant host, a batched VMA run, and PaRT
+/// touch over an 8-VM multi-tenant host, a batched VMA run, PaRT
 /// take/release throughput under real threads, lock-free vs globally
-/// locked.
+/// locked, and the parse of one traced run-journal entry.
 pub fn run_kernels() -> Vec<Kernel> {
     let pages = 4096u64;
     let mut out = Vec::new();
@@ -283,7 +283,65 @@ pub fn run_kernels() -> Vec<Kernel> {
         });
     }
 
+    // json_parse_journal_entry: `vmsim run --resume` parses every entry
+    // line of the journal; a traced cell's line carries its whole trace.
+    let line = journal_entry_line();
+    out.push(Kernel {
+        name: "json_parse_journal_entry",
+        ns_per_op: median_ns_per_op(10, || {
+            std::hint::black_box(json::parse(&line).expect("journal line parses"));
+        }),
+    });
+
     out
+}
+
+/// A fixed run-journal entry line, in the shape `Journal::record` writes,
+/// whose `events` string holds about 1 MiB of rendered trace JSONL.
+fn journal_entry_line() -> String {
+    let mut events = String::with_capacity(1 << 20);
+    let mut op = 0u64;
+    while events.len() < 1 << 20 {
+        let (pid, vpn, gfn) = (1 + op % 4, op * 7, op * 13);
+        let kind = match op % 4 {
+            0 => EventKind::PageFault {
+                pid,
+                vpn,
+                gfn,
+                huge: false,
+            },
+            1 => EventKind::ReservationTake { pid, vpn, gfn },
+            2 => EventKind::ReservationHit { pid, vpn, gfn },
+            _ => EventKind::PtWalk {
+                levels: 24,
+                cycles: 100 + op % 900,
+                pwc_hits: 2,
+            },
+        };
+        events.push_str(&Event { op, kind }.to_json());
+        events.push('\n');
+        op += 1;
+    }
+    let mut line = String::from(
+        "{\"key\": \"0123456789abcdef\", \"cell\": 0, \"attempts\": 1, \
+         \"truncated\": false, \"run\": {\"workload\": \"8 VMs\", \"policy\": \"default\", \
+         \"seed\": 0, \"benchmark\": \"gcc\", \"allocator\": \"default\", \
+         \"measure_ops\": 20000, \"cycles\": 592626, \"tlb_lookups\": 80000, \
+         \"tlb_misses\": 6655, \"data_accesses\": 80000, \"data_misses\": 6577, \
+         \"page_walk_cycles\": 668372, \"host_pt_cycles\": 354686, \
+         \"guest_pt_accesses\": 6655, \"guest_pt_memory\": 1376, \
+         \"host_pt_accesses\": 8843, \"host_pt_memory\": 1437, \"host_frag\": 1.91796875, \
+         \"guest_frag\": 1.0, \"init_cycles\": 70216418, \"footprint_pages\": 6144, \
+         \"reserved_unused_peak\": 0, \"reserved_unused_mean\": 0.0, \
+         \"total_faults\": 49152, \"reservation_fallbacks\": 0, \"reclaimed_frames\": 0, \
+         \"faults_injected\": 0}, \"events\": ",
+    );
+    json::write_str(&mut line, &events);
+    line.push_str(", \"series\": ");
+    json::write_str(&mut line, "op,host.free_frames\n0,1024\n20000,512\n");
+    let crc = crate::journal::fnv1a(line.as_bytes());
+    let _ = write!(line, ", \"crc\": \"{crc:016x}\"}}");
+    line
 }
 
 /// The lock-free PaRT kernel grid: (name, threads, contended).
@@ -719,6 +777,21 @@ mod tests {
             ns_per_op: 300.0,
         }];
         entry_json(&cells, &kernels, stamp)
+    }
+
+    #[test]
+    fn kernel_journal_line_is_a_traced_journal_entry() {
+        let line = journal_entry_line();
+        let doc = json::parse(&line).expect("parses");
+        let events = doc
+            .get("events")
+            .and_then(json::Json::as_str)
+            .expect("events");
+        assert!(events.len() >= 1 << 20 && events.lines().count() > 10_000);
+        assert_eq!(
+            doc.get("crc").and_then(json::Json::as_str).map(str::len),
+            Some(16)
+        );
     }
 
     #[test]

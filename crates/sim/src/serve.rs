@@ -29,6 +29,10 @@
 //!   lets the in-flight job finish and persist its journals, answers
 //!   queued-but-unstarted waiters with `deferred` (they recover on the
 //!   next start), and exits 0 within `VMSIM_SERVE_DRAIN_MS`.
+//! * **Steady memory.** After each job the executor hands the allocator's
+//!   free pages back to the OS (`malloc_trim` on glibc), so the resident
+//!   set follows what one job needs rather than how many per-thread
+//!   arenas earlier jobs happened to use.
 //!
 //! # Line protocol
 //!
@@ -109,6 +113,32 @@ pub fn install_sigterm_handler() {
 
 #[cfg(not(unix))]
 pub fn install_sigterm_handler() {}
+
+/// Hands the allocator's free pages back to the OS once a job is done.
+///
+/// Every job runs its cells on freshly spawned pool threads, and glibc
+/// gives each thread one of its per-thread arenas, picked by which threads
+/// happen to be alive at the time. Each arena keeps the memory its jobs
+/// freed, so without a trim the server's resident set tracks how many
+/// arenas its jobs have landed in, not what any one job needs. Under the
+/// serve benchmark on a 2-vCPU host it swung between about 41 and 52 MB
+/// from run to run with the same jobs, against about 21 MB with a single
+/// arena and about 30 MB with this trim.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` takes no pointers and only releases free
+    // pages of glibc's own heaps; it is safe to call from any thread at
+    // any time.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_memory() {}
 
 /// Everything `vmsim serve` needs to come up, read from the strict
 /// `VMSIM_SERVE_*` environment knobs plus the output directory.
@@ -751,6 +781,7 @@ fn executor_loop(shared: &Arc<Shared>) {
         };
 
         let result = execute(shared, &job);
+        release_free_memory();
 
         {
             let mut line = String::with_capacity(128);
