@@ -10,7 +10,6 @@
 //! | `VMSIM_TRACE`     | Event tracing: `0` off, `1` on, `n > 1` ring size   |
 //! | `VMSIM_EPOCH_OPS` | Registry-snapshot sampling interval (`0` = off)     |
 //! | `VMSIM_CHAOS_CELL`| Supervisor drill: panic cell `i` (`i` or `i:k`)     |
-//! | `VMSIM_MEMO`      | Translation memo layer: `on`/`1` (default), `off`/`0` |
 //! | `VMSIM_PROFILE`   | Phase profiler: `on`/`1`, `off`/`0` (default)       |
 //! | `VMSIM_HEARTBEAT_OPS` | Heartbeat cadence in machine ops (positive)     |
 //! | `VMSIM_GUEST_THREADS` | Simulated guest threads per workload (1..=64)   |
@@ -21,9 +20,9 @@
 //!
 //! Parsers are strict: a set-but-malformed value is an [`EnvError`], never a
 //! silent fallback to the default. Callers that cannot fail (the worker
-//! pool, the memo and heartbeat defaults deep in the engine) use the `*_or`
-//! lenient wrappers, which warn once on stderr before falling back. `vmsim validate` surfaces the same
-//! errors via [`check`].
+//! pool, the heartbeat default deep in the engine) use the `*_or` lenient
+//! wrappers, which warn once on stderr before falling back. `vmsim
+//! validate` surfaces the same errors via [`check`].
 
 use std::sync::Once;
 
@@ -37,9 +36,6 @@ pub const VAR_TRACE: &str = "VMSIM_TRACE";
 pub const VAR_EPOCH_OPS: &str = "VMSIM_EPOCH_OPS";
 /// Supervisor chaos drill: deliberately panic one matrix cell.
 pub const VAR_CHAOS_CELL: &str = "VMSIM_CHAOS_CELL";
-/// Translation memo layer escape hatch (validated bit-invisible; off only
-/// for debugging or A/B timing).
-pub const VAR_MEMO: &str = "VMSIM_MEMO";
 /// Phase-profiler toggle (validated bit-invisible to results).
 pub const VAR_PROFILE: &str = "VMSIM_PROFILE";
 /// Live-telemetry heartbeat cadence, in machine ops per heartbeat.
@@ -304,47 +300,10 @@ pub fn chaos_cell() -> Result<Option<ChaosPlan>, EnvError> {
     }))
 }
 
-/// Memo-layer override: `VMSIM_MEMO`. `true` (the default) keeps the
-/// machine's memoizing translation fast path on; `off`/`0`/`false` forces
-/// every access down the naive path. The layer is validated bit-invisible,
-/// so this knob only trades wall-clock speed for simplicity when debugging.
-///
-/// # Errors
-///
-/// Returns [`EnvError`] if the variable is set but not a recognized
-/// boolean spelling (`on`/`off`, `1`/`0`, `true`/`false`).
-pub fn memo_enabled() -> Result<bool, EnvError> {
-    match raw(VAR_MEMO) {
-        None => Ok(true),
-        Some(v) => match v.to_ascii_lowercase().as_str() {
-            "1" | "on" | "true" | "yes" => Ok(true),
-            "0" | "off" | "false" | "no" => Ok(false),
-            _ => Err(EnvError {
-                var: VAR_MEMO,
-                value: v,
-                reason: "expected on/off, 1/0, or true/false",
-            }),
-        },
-    }
-}
-
-/// Lenient wrapper over [`memo_enabled`]: a malformed value warns once and
-/// yields `true` (memo on).
-pub fn memo_enabled_or_default() -> bool {
-    static MALFORMED: Once = Once::new();
-    match memo_enabled() {
-        Ok(b) => b,
-        Err(e) => {
-            warn_once(&MALFORMED, &format!("ignoring malformed {e}"));
-            true
-        }
-    }
-}
-
 /// Phase-profiler override: `VMSIM_PROFILE`. Off by default; `on`/`1`
-/// installs the span profiler on every run's machine. Like the tracer and
-/// memo knobs, the profiler is proven bit-invisible to `RunMetrics`, so
-/// this only adds wall-clock cost and profile artifacts.
+/// installs the span profiler on every run's machine. Like the tracer, the
+/// profiler is proven bit-invisible to `RunMetrics`, so this only adds
+/// wall-clock cost and profile artifacts.
 ///
 /// # Errors
 ///
@@ -544,9 +503,6 @@ pub fn check() -> Vec<EnvError> {
     if let Err(e) = chaos_cell() {
         errors.push(e);
     }
-    if let Err(e) = memo_enabled() {
-        errors.push(e);
-    }
     if let Err(e) = profile() {
         errors.push(e);
     }
@@ -645,23 +601,6 @@ mod tests {
             assert!(chaos_cell().is_err(), "{bad:?} must be rejected");
         }
 
-        // Memo knob: defaults on, accepts boolean spellings, rejects junk.
-        assert_eq!(memo_enabled(), Ok(true));
-        for (v, want) in [
-            ("on", true),
-            ("1", true),
-            ("true", true),
-            ("off", false),
-            ("0", false),
-            ("FALSE", false),
-        ] {
-            std::env::set_var(VAR_MEMO, v);
-            assert_eq!(memo_enabled(), Ok(want), "VMSIM_MEMO={v}");
-        }
-        std::env::set_var(VAR_MEMO, "maybe");
-        assert!(memo_enabled().is_err());
-        assert!(memo_enabled_or_default());
-
         // Profiler knob: defaults off, boolean spellings, rejects junk.
         assert_eq!(profile(), Ok(false));
         for (v, want) in [("on", true), ("1", true), ("off", false), ("NO", false)] {
@@ -738,14 +677,13 @@ mod tests {
 
         // check() reports every malformed variable at once.
         let errors = check();
-        assert_eq!(errors.len(), 13);
+        assert_eq!(errors.len(), 12);
         for var in [
             VAR_OPS,
             VAR_THREADS,
             VAR_TRACE,
             VAR_EPOCH_OPS,
             VAR_CHAOS_CELL,
-            VAR_MEMO,
             VAR_PROFILE,
             VAR_HEARTBEAT_OPS,
             VAR_GUEST_THREADS,
@@ -763,7 +701,6 @@ mod tests {
             VAR_TRACE,
             VAR_EPOCH_OPS,
             VAR_CHAOS_CELL,
-            VAR_MEMO,
             VAR_PROFILE,
             VAR_HEARTBEAT_OPS,
             VAR_GUEST_THREADS,

@@ -152,8 +152,8 @@ impl MemoSlot {
 pub struct MemoStats {
     /// Touches replayed from a memo slot (full fingerprint validation).
     pub hits: u64,
-    /// Touches replayed by the [`Machine::touch_run_vm`] same-page streak path
-    /// (no fingerprint validation needed).
+    /// Always 0: every replay is a memo-slot replay, counted in `hits`.
+    /// Kept only so existing readers of the field still compile.
     pub streak_hits: u64,
     /// Memo slots (re)filled after a slow-path touch.
     pub fills: u64,
@@ -227,8 +227,8 @@ pub struct Machine {
     pwcs: Vec<PageWalkCaches>,
     /// Per-core direct-mapped memo tables (see [`MemoSlot`]).
     memos: Vec<Box<[MemoSlot]>>,
-    /// The `VMSIM_MEMO` escape hatch: when false, every touch takes the
-    /// naive path.
+    /// When false, every touch takes the naive path (the reference the
+    /// memo layer is checked against).
     memo_enabled: bool,
     memo_stats: MemoStats,
     /// Per-core nested-walk latency distributions.
@@ -491,10 +491,10 @@ impl Machine {
         self.clear_memos();
     }
 
-    /// Enables or disables the translation memo layer (the `VMSIM_MEMO`
-    /// escape hatch). Disabling clears the tables so a later re-enable
-    /// starts from a clean slate. Memoization is validated to be
-    /// bit-invisible, so this only affects wall-clock speed.
+    /// Enables or disables the translation memo layer. Disabling clears the
+    /// tables so a later re-enable starts from a clean slate. Memoization
+    /// is validated to be bit-invisible, so this only affects wall-clock
+    /// speed.
     pub fn set_memo_enabled(&mut self, enabled: bool) {
         if !enabled {
             self.clear_memos();
@@ -603,11 +603,6 @@ impl Machine {
     #[inline]
     fn memo_index(va: GuestVirtAddr) -> usize {
         ((va.raw() >> PAGE_SHIFT) as usize) & (MEMO_SLOTS - 1)
-    }
-
-    /// Whether a fault plan is installed.
-    pub fn faults_installed(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// The guest OS (of VM 0 — the only VM on single-tenant machines).
@@ -725,6 +720,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if the VM slot is not running.
+    #[inline]
     pub fn touch_vm(
         &mut self,
         vm: usize,
@@ -737,6 +733,9 @@ impl Machine {
         self.touch_in(vm, core, pid, va, is_write)
     }
 
+    /// The one per-access sequence: fault driver, memo-slot replay, else
+    /// the slow path followed by a memo fill.
+    #[inline]
     fn touch_in(
         &mut self,
         vm: usize,
@@ -762,7 +761,7 @@ impl Machine {
             self.prof_enter(Phase::MemoProbe);
             let replayed = self.memo_replay(vm, core, pid, va, is_write);
             self.prof_exit();
-            if let Some((out, _)) = replayed {
+            if let Some(out) = replayed {
                 self.prof_cycles(Phase::MemoProbe, out.cycles);
                 return Ok(out);
             }
@@ -776,92 +775,12 @@ impl Machine {
         Ok(out)
     }
 
-    /// Plays a run of accesses by one (`core`, `pid`) pair of VM `vm`,
-    /// returning the total cycles charged. Semantically identical to
-    /// calling [`Machine::touch_vm`] once per element (bit-identical
-    /// counters, events, histograms, and cycle totals) but with a fast path
-    /// for same-page streaks: once an access to a page has been played,
-    /// immediately repeated accesses to the same address need no
-    /// revalidation at all — nothing can have intervened — so they replay
-    /// directly.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::touch`]; the first failing access aborts the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VM slot is not running.
-    pub fn touch_run_vm(
-        &mut self,
-        vm: usize,
-        core: usize,
-        pid: Pid,
-        run: &[(GuestVirtAddr, bool)],
-    ) -> Result<u64> {
-        assert!(self.vms[vm].running, "touch of a stopped VM");
-        let mut total = 0u64;
-        // The address (and write permission) proven warm by the previous
-        // iteration; u64::MAX never matches a real va.
-        let mut prev_va = u64::MAX;
-        let mut prev_write_ok = false;
-        for &(va, is_write) in run {
-            self.ops += 1;
-            if self.faults.is_some() {
-                self.prof_enter(Phase::FaultDriver);
-                let fired = self.drive_fault_schedule();
-                self.prof_exit();
-                if fired {
-                    self.clear_memos();
-                    prev_va = u64::MAX;
-                }
-            }
-            if self.memo_enabled && va.raw() == prev_va && (!is_write || prev_write_ok) {
-                // Same-page streak: the previous op touched this very
-                // address and nothing intervened, so the TLB entry and the
-                // data line are still MRU in their sets by construction.
-                self.prof_enter(Phase::MemoProbe);
-                self.memo_stats.streak_hits += 1;
-                self.tlbs[core].replay_l1_hit();
-                let cycles = self.cost.work_cycles_per_access
-                    + self.caches.replay_l1_hit(core, AccessKind::Data);
-                total += cycles;
-                self.prof_cycles(Phase::MemoProbe, cycles);
-                self.prof_exit();
-                continue;
-            }
-            if self.memo_enabled {
-                self.prof_enter(Phase::MemoProbe);
-                let replayed = self.memo_replay(vm, core, pid, va, is_write);
-                self.prof_exit();
-                if let Some((out, write_ok)) = replayed {
-                    self.prof_cycles(Phase::MemoProbe, out.cycles);
-                    total += out.cycles;
-                    prev_va = va.raw();
-                    prev_write_ok = write_ok;
-                    continue;
-                }
-            }
-            let (out, write_ok, data_hpa) = self.touch_slow(vm, core, pid, va, is_write)?;
-            if self.memo_enabled {
-                self.prof_enter(Phase::Fill);
-                self.memo_fill(vm, core, pid, va, write_ok, data_hpa);
-                self.prof_exit();
-            }
-            total += out.cycles;
-            prev_va = va.raw();
-            prev_write_ok = write_ok;
-        }
-        Ok(total)
-    }
-
     /// Attempts to replay a memoized warm touch. `None` means the slot does
     /// not prove this access; take the slow path. On a hit, returns the
-    /// outcome and the slot's write permission, and applies the warm path's
-    /// exact observable side effects: the TLB L1-hit counter, the data L1
-    /// MemCounters record, and the fixed warm-cycle charge. No tracer
-    /// events, no histogram samples, no PWC activity — precisely what the
-    /// naive warm path does.
+    /// outcome and applies the warm path's exact observable side effects:
+    /// the TLB L1-hit counter, the data L1 MemCounters record, and the
+    /// fixed warm-cycle charge. No tracer events, no histogram samples, no
+    /// PWC activity — precisely what the naive warm path does.
     #[inline]
     fn memo_replay(
         &mut self,
@@ -870,7 +789,7 @@ impl Machine {
         pid: Pid,
         va: GuestVirtAddr,
         is_write: bool,
-    ) -> Option<(TouchOutcome, bool)> {
+    ) -> Option<TouchOutcome> {
         let slot = &self.memos[core][Self::memo_index(va)];
         if slot.pid != Self::asid_of(vm, pid)
             || slot.va != va.raw()
@@ -881,18 +800,14 @@ impl Machine {
         {
             return None;
         }
-        let write_ok = slot.write_ok;
         self.memo_stats.hits += 1;
         self.tlbs[core].replay_l1_hit();
         let data_cycles = self.caches.replay_l1_hit(core, AccessKind::Data);
-        Some((
-            TouchOutcome {
-                cycles: self.cost.work_cycles_per_access + data_cycles,
-                tlb_hit: true,
-                ..TouchOutcome::default()
-            },
-            write_ok,
-        ))
+        Some(TouchOutcome {
+            cycles: self.cost.work_cycles_per_access + data_cycles,
+            tlb_hit: true,
+            ..TouchOutcome::default()
+        })
     }
 
     /// Fills the memo slot for `va` after a successful slow-path touch. The
@@ -1272,24 +1187,15 @@ impl Machine {
         result
     }
 
-    /// Performs a nested (2D) page walk for (`pid`, `vpn`) on `core`,
-    /// charging every PT access to the cache hierarchy. Returns the host
-    /// frame, the cycles spent, and any host faults taken for PT-node
+    /// Performs a nested (2D) page walk for (`pid`, `vpn`) of VM `vm` on
+    /// `core`, charging every PT access to the cache hierarchy. Returns the
+    /// host frame, the cycles spent, and any host faults taken for PT-node
     /// backing.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::Unmapped`] if the guest translation does not
     /// exist (the caller must fault first).
-    pub fn nested_walk(
-        &mut self,
-        core: usize,
-        pid: Pid,
-        vpn: GuestVirtPage,
-    ) -> Result<(HostFrame, u64, u32)> {
-        self.nested_walk_in(0, core, pid, vpn)
-    }
-
     fn nested_walk_in(
         &mut self,
         vm: usize,
@@ -1946,7 +1852,7 @@ mod tests {
         let pid = m.guest_mut().spawn();
         m.guest_mut().mmap(pid, 4).unwrap();
         assert!(matches!(
-            m.nested_walk(0, pid, GuestVirtPage::new(0)),
+            m.nested_walk_in(0, 0, pid, GuestVirtPage::new(0)),
             Err(MemError::Unmapped { .. })
         ));
     }
@@ -2396,88 +2302,6 @@ mod tests {
         // Span accounting: every touch probes the TLB or replays a memo.
         assert!(profile.get(Phase::TlbLookup).enters > 0);
         assert!(profile.get(Phase::Fill).enters > 0);
-    }
-
-    #[test]
-    fn profiled_touch_run_matches_profiled_per_op_touches() {
-        // touch_run_vm's streak fast path charges its cycles to memo_probe;
-        // the equivalence with per-op stepping must hold for the
-        // deterministic profile columns too.
-        let mut m = machine();
-        m.install_profiler(vmsim_obs::Profiler::new());
-        let pid = m.guest_mut().spawn();
-        let va = m.guest_mut().mmap(pid, 4).unwrap();
-        let run: Vec<(GuestVirtAddr, bool)> = (0..32)
-            .map(|i| (GuestVirtAddr::new(va.raw() + (i / 8) * 4096), false))
-            .collect();
-        let batched_total = m.touch_run_vm(0, 0, pid, &run).unwrap();
-        let batched: Vec<(u64, u64)> = m
-            .take_profiler()
-            .unwrap()
-            .finish(0)
-            .phases
-            .iter()
-            .map(|p| (p.cycles, p.enters))
-            .collect();
-
-        let mut m = machine();
-        m.install_profiler(vmsim_obs::Profiler::new());
-        let pid = m.guest_mut().spawn();
-        let va = m.guest_mut().mmap(pid, 4).unwrap();
-        let mut per_op_total = 0;
-        for i in 0..32u64 {
-            per_op_total += m
-                .touch(0, pid, GuestVirtAddr::new(va.raw() + (i / 8) * 4096), false)
-                .unwrap()
-                .cycles;
-        }
-        let per_op: Vec<(u64, u64)> = m
-            .take_profiler()
-            .unwrap()
-            .finish(0)
-            .phases
-            .iter()
-            .map(|p| (p.cycles, p.enters))
-            .collect();
-        assert_eq!(batched_total, per_op_total);
-        let total = |v: &[(u64, u64)]| -> u64 { v.iter().map(|&(c, _)| c).sum() };
-        assert_eq!(total(&batched), total(&per_op), "cycle ledgers agree");
-    }
-
-    #[test]
-    fn touch_run_matches_per_op_touches() {
-        let ops: Vec<(u64, bool)> = (0..64)
-            .flat_map(|i| {
-                let page = (i * 7) % 8;
-                // Streaks of 3 touches per page, writes every other op.
-                (0..3).map(move |j| (page, j % 2 == 0))
-            })
-            .collect();
-        let per_op = {
-            let mut m = machine();
-            let pid = m.guest_mut().spawn();
-            let va = m.guest_mut().mmap(pid, 8).unwrap();
-            let mut total = 0u64;
-            for &(page, w) in &ops {
-                total += m
-                    .touch(0, pid, GuestVirtAddr::new(va.raw() + page * 4096), w)
-                    .unwrap()
-                    .cycles;
-            }
-            (total, m.ops_executed(), m.metrics_snapshot())
-        };
-        let batched = {
-            let mut m = machine();
-            let pid = m.guest_mut().spawn();
-            let va = m.guest_mut().mmap(pid, 8).unwrap();
-            let run: Vec<(GuestVirtAddr, bool)> = ops
-                .iter()
-                .map(|&(page, w)| (GuestVirtAddr::new(va.raw() + page * 4096), w))
-                .collect();
-            let total = m.touch_run_vm(0, 0, pid, &run).unwrap();
-            (total, m.ops_executed(), m.metrics_snapshot())
-        };
-        assert_eq!(per_op, batched, "batching must be bit-identical");
     }
 
     #[test]

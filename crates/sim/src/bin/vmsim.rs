@@ -259,11 +259,22 @@ fn run_one(
 ) -> Result<RunStats, String> {
     let mut manifest = load(source)?;
     apply_env(&mut manifest).map_err(|e| e.to_string())?;
-    // Validate before the journal is opened: creating the journal truncates
-    // `<out>/<name>.journal.jsonl`, and an invalid manifest must never
-    // clobber the journal a previous (interrupted) run left behind.
-    manifest.validate().map_err(|e| format!("{source}: {e}"))?;
+    // Pre-flight before the journal is opened: creating the journal
+    // truncates `<out>/<name>.journal.jsonl`, and a manifest that cannot run
+    // must never clobber the journal a previous (interrupted) run left.
+    driver::preflight(&manifest).map_err(|e| format!("{source}: {e}"))?;
     let mut stats = RunStats::default();
+
+    // An unusable --progress path is a usage error, like an unusable
+    // --resume journal: the user named a stream they cannot have. It is
+    // checked before the journal is created, for the same reason as the
+    // pre-flight above.
+    let progress = match progress_path {
+        Some(path) => {
+            Some(Progress::create(path, &manifest, heartbeat_ops).map_err(|e| e.to_string())?)
+        }
+        None => None,
+    };
 
     // Matrix runs journal each completed cell for crash-safe resumption.
     // An unusable --resume journal is a usage error; a journal that merely
@@ -295,15 +306,6 @@ fn run_one(
             );
         }
     }
-
-    // An unusable --progress path is a usage error, like an unusable
-    // --resume journal: the user named a stream they cannot have.
-    let progress = match progress_path {
-        Some(path) => {
-            Some(Progress::create(path, &manifest, heartbeat_ops).map_err(|e| e.to_string())?)
-        }
-        None => None,
-    };
 
     let t0 = std::time::Instant::now();
     let sup = Supervisor {
@@ -525,14 +527,9 @@ fn cmd_validate(args: &[String]) -> ExitCode {
 
 fn validate_one(source: &str) -> Result<usize, String> {
     let manifest = load(source)?;
-    manifest.validate().map_err(|e| e.to_string())?;
+    driver::preflight(&manifest).map_err(|e| e.to_string())?;
     let runs = match &manifest.experiment {
-        ExperimentSpec::Matrix(matrix) => {
-            for policy in &matrix.policies {
-                ptemagnet::registry::resolve(policy.name()).map_err(|e| e.to_string())?;
-            }
-            matrix.runs_per_seed() * manifest.seeds.len()
-        }
+        ExperimentSpec::Matrix(matrix) => matrix.runs_per_seed() * manifest.seeds.len(),
         _ => 1,
     };
     Ok(runs)

@@ -355,13 +355,12 @@ pub fn build_scenario(
 ) -> Result<Scenario, DriverError> {
     let bench = workload.bench_id()?;
     let corunners = workload.co_ids()?;
-    let allocator = ptemagnet::registry::resolve(policy.name())?;
     let mut scenario = Scenario::new(bench)
         .corunners(&corunners)
         .corunner_weight(workload.corunner_weight)
         .threads(workload.threads)
         .stop_corunners_after_init(workload.stop_corunners_after_init)
-        .custom_allocator(allocator)
+        .policy(policy.name())?
         .measure_ops(manifest.measure_ops)
         .seed(seed);
     if let Some(run) = workload.prefragment_run {
@@ -385,6 +384,25 @@ pub fn build_scenario(
         scenario = scenario.vms(spec);
     }
     Ok(scenario)
+}
+
+/// Checks that a manifest can run, before anything acts on it: the shape
+/// checks of [`ExperimentManifest::validate`], plus every matrix policy
+/// resolving through the registry. `vmsim run` calls this before it opens
+/// (and truncates) the run journal, and `vmsim serve` before it admits a
+/// job.
+///
+/// # Errors
+///
+/// Returns [`DriverError`] for the first invalid field or unknown policy.
+pub fn preflight(manifest: &ExperimentManifest) -> Result<(), DriverError> {
+    manifest.validate()?;
+    if let ExperimentSpec::Matrix(matrix) = &manifest.experiment {
+        for policy in &matrix.policies {
+            ptemagnet::registry::resolve(policy.name())?;
+        }
+    }
+    Ok(())
 }
 
 /// Validates and executes a manifest with no journal and no chaos drill.
@@ -422,7 +440,9 @@ pub fn run_supervised(
     manifest: &ExperimentManifest,
     sup: &Supervisor<'_>,
 ) -> Result<ManifestRun, DriverError> {
-    manifest.validate()?;
+    // Name errors surface before any simulation work, so the pool closure
+    // cannot fail on names.
+    preflight(manifest)?;
     match &manifest.experiment {
         ExperimentSpec::AllocLatency { pages } => Ok(ManifestRun {
             manifest: manifest.clone(),
@@ -447,11 +467,6 @@ fn run_matrix(
     matrix: &MatrixSpec,
     sup: &Supervisor<'_>,
 ) -> Result<ManifestRun, DriverError> {
-    // Resolve every policy once up front so name errors surface before any
-    // simulation work (the pool closure then cannot fail on names).
-    for policy in &matrix.policies {
-        ptemagnet::registry::resolve(policy.name())?;
-    }
     let spec = manifest.supervisor.unwrap_or_default();
     let budget = CellBudget {
         max_ops: spec.max_cell_ops,

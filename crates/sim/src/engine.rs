@@ -165,9 +165,6 @@ impl App {
 pub struct Colocation {
     machine: Machine,
     apps: Vec<App>,
-    /// Reusable buffer for coalesced touch runs (see [`Colocation::round`]):
-    /// keeps the batching path allocation-free across rounds.
-    touch_buf: Vec<(GuestVirtAddr, bool)>,
 }
 
 impl Colocation {
@@ -181,7 +178,6 @@ impl Colocation {
         Self {
             machine,
             apps: Vec::new(),
-            touch_buf: Vec::new(),
         }
     }
 
@@ -304,57 +300,14 @@ impl Colocation {
         self.apps[idx].running = true;
     }
 
-    /// Executes one operation of app `idx`.
+    /// Runs one scheduling round: every running app executes `weight` ops,
+    /// each `Touch` op as one [`Machine::touch_vm`] call.
     ///
     /// # Errors
     ///
-    /// Propagates machine errors (OOM, invalid region use). Workload streams
-    /// only reference regions they allocated, so errors indicate a resource
-    /// exhaustion problem rather than a workload bug.
-    pub fn step_app(&mut self, idx: usize) -> Result<()> {
-        let app = &mut self.apps[idx];
-        let op = app.workload.next_op();
-        match op {
-            Op::Alloc { region, pages } => {
-                let base = self.machine.vm_guest_mut(app.vm).mmap(app.pid, pages)?;
-                app.set_region(region, base, pages);
-            }
-            Op::Touch {
-                region,
-                page_idx,
-                write,
-            } => {
-                let (base, pages) = app.region(region)?;
-                debug_assert!(page_idx < pages);
-                let va = GuestVirtAddr::new(base.raw() + (page_idx << PAGE_SHIFT));
-                let out = self
-                    .machine
-                    .touch_vm(app.vm, app.core, app.pid, va, write)?;
-                app.cycles += out.cycles;
-            }
-            Op::Free { region } => {
-                let (base, pages) = app.take_region(region)?;
-                self.machine
-                    .munmap_vm(app.vm, app.pid, base.page(), pages)?;
-            }
-        }
-        app.ops += 1;
-        Ok(())
-    }
-
-    /// Runs one scheduling round: every running app executes `weight` ops.
-    ///
-    /// Each app's quantum is executed in batched form: consecutive `Touch`
-    /// ops are coalesced and played through [`Machine::touch_run_vm`], which
-    /// is bit-identical to per-op [`Machine::touch_vm`] calls but replays
-    /// same-page streaks without revalidation. Alloc/Free ops flush the
-    /// pending batch first, so the machine sees exactly the per-op order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first step error. On an error mid-quantum, `ops`
-    /// counts every operation pulled from the workload this quantum (the
-    /// whole run is abandoned on error, so the distinction is unobservable).
+    /// Propagates the first machine error (OOM, invalid region use).
+    /// Workload streams only reference regions they allocated, so errors
+    /// indicate resource exhaustion rather than a workload bug.
     pub fn round(&mut self) -> Result<()> {
         for idx in 0..self.apps.len() {
             let app = &self.apps[idx];
@@ -367,29 +320,25 @@ impl Colocation {
         Ok(())
     }
 
-    /// Executes `count` ops of app `idx` with touch batching.
+    /// Executes `count` ops of app `idx`.
     fn run_quantum(&mut self, idx: usize, count: u64) -> Result<()> {
-        let mut batch = std::mem::take(&mut self.touch_buf);
-        batch.clear();
         let mut threads = self.apps[idx].threads.take();
-        let result = self.run_quantum_inner(idx, count, &mut batch, threads.as_mut());
+        let result = self.run_quantum_inner(idx, count, threads.as_mut());
         self.apps[idx].threads = threads;
-        self.touch_buf = batch;
         result
     }
 
     /// The op loop of one quantum. With an interleaver (`threads` is
     /// `Some`), each op is issued by its current simulated thread: Touch
-    /// pages are striped per thread, and the pending batch is flushed on
-    /// every thread switch so fault attribution follows the issuing thread.
-    /// Alloc and Free take no page faults, so they need no attribution.
-    /// With `None` no thread state is read or written, which keeps
-    /// `threads: 1` byte-identical to an engine without threads.
+    /// pages are striped per thread, and the machine's active thread
+    /// follows every switch so fault attribution follows the issuing
+    /// thread. Alloc and Free take no page faults, so they need no
+    /// attribution. With `None` no thread state is read or written, which
+    /// keeps `threads: 1` byte-identical to an engine without threads.
     fn run_quantum_inner(
         &mut self,
         idx: usize,
         count: u64,
-        batch: &mut Vec<(GuestVirtAddr, bool)>,
         mut threads: Option<&mut GuestThreads>,
     ) -> Result<()> {
         if let Some(th) = threads.as_deref() {
@@ -399,7 +348,6 @@ impl Colocation {
         }
         for _ in 0..count {
             if let Some(next) = threads.as_deref_mut().and_then(GuestThreads::advance) {
-                self.flush_batch(idx, batch)?;
                 self.machine.set_active_thread(next);
             }
             let app = &mut self.apps[idx];
@@ -416,36 +364,23 @@ impl Colocation {
                     let page = threads
                         .as_deref()
                         .map_or(page_idx, |th| th.stripe(page_idx, pages));
-                    batch.push((GuestVirtAddr::new(base.raw() + (page << PAGE_SHIFT)), write));
+                    let va = GuestVirtAddr::new(base.raw() + (page << PAGE_SHIFT));
+                    app.cycles += self
+                        .machine
+                        .touch_vm(app.vm, app.core, app.pid, va, write)?
+                        .cycles;
                 }
                 Op::Alloc { region, pages } => {
-                    self.flush_batch(idx, batch)?;
-                    let app = &mut self.apps[idx];
                     let base = self.machine.vm_guest_mut(app.vm).mmap(app.pid, pages)?;
                     app.set_region(region, base, pages);
                 }
                 Op::Free { region } => {
-                    self.flush_batch(idx, batch)?;
-                    let app = &mut self.apps[idx];
                     let (base, pages) = app.take_region(region)?;
                     self.machine
                         .munmap_vm(app.vm, app.pid, base.page(), pages)?;
                 }
             }
         }
-        self.flush_batch(idx, batch)
-    }
-
-    /// Plays the pending touch batch of app `idx` through the machine.
-    fn flush_batch(&mut self, idx: usize, batch: &mut Vec<(GuestVirtAddr, bool)>) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let app = &mut self.apps[idx];
-        app.cycles += self
-            .machine
-            .touch_run_vm(app.vm, app.core, app.pid, batch)?;
-        batch.clear();
         Ok(())
     }
 
@@ -585,37 +520,6 @@ mod tests {
             c.round().unwrap();
         }
         assert!(c.ops(b) >= 4 * c.ops(a));
-    }
-
-    #[test]
-    fn batched_rounds_match_per_op_stepping() {
-        let build = || {
-            let mut c = Colocation::new(Machine::new(MachineConfig::small()));
-            c.add_app(small_stream(), 1);
-            c.add_app(small_churn(), 4);
-            c
-        };
-        let mut batched = build();
-        for _ in 0..100 {
-            batched.round().unwrap();
-        }
-        let mut stepped = build();
-        for _ in 0..100 {
-            for (idx, weight) in [(0, 1), (1, 4)] {
-                for _ in 0..weight {
-                    stepped.step_app(idx).unwrap();
-                }
-            }
-        }
-        for idx in 0..2 {
-            assert_eq!(batched.cycles(idx), stepped.cycles(idx));
-            assert_eq!(batched.ops(idx), stepped.ops(idx));
-        }
-        assert_eq!(
-            batched.machine().metrics_snapshot(),
-            stepped.machine().metrics_snapshot(),
-            "batched execution must be bit-identical to per-op stepping"
-        );
     }
 
     #[test]

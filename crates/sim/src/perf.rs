@@ -86,8 +86,7 @@ pub struct Kernel {
 
 fn run_cell(bench: BenchId, alloc: &'static str) -> PerfCell {
     let allocator = ptemagnet::registry::resolve(alloc).expect("tracked allocators are registered");
-    let mut machine = Machine::with_allocator(MachineConfig::paper(2, 1024), allocator);
-    machine.set_memo_enabled(vmsim_config::env::memo_enabled_or_default());
+    let machine = Machine::with_allocator(MachineConfig::paper(2, 1024), allocator);
     let mut colo = Colocation::new(machine);
     let primary = colo.add_app(Box::new(benchmark(bench, 0)), 1);
     // Seed matches the scenario layer: seed.wrapping_mul(31).wrapping_add(1).
@@ -117,10 +116,10 @@ fn run_cell(bench: BenchId, alloc: &'static str) -> PerfCell {
         tlb_misses: tlb.misses(),
         memo: MemoStats {
             hits: memo_after.hits - memo_before.hits,
-            streak_hits: memo_after.streak_hits - memo_before.streak_hits,
             fills: memo_after.fills - memo_before.fills,
             naive_walks: memo_after.naive_walks - memo_before.naive_walks,
             clears: memo_after.clears - memo_before.clears,
+            ..MemoStats::default()
         },
         wall_ms: wall.as_secs_f64() * 1e3,
         profile,
@@ -155,9 +154,9 @@ fn median_ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
 }
 
 /// The microkernels: cold full walks, memo-hit replays, a round-robin
-/// touch over an 8-VM multi-tenant host, a batched VMA run, PaRT
-/// take/release throughput under real threads, lock-free vs globally
-/// locked, and the parse of one traced run-journal entry.
+/// touch over an 8-VM multi-tenant host, PaRT take/release throughput
+/// under real threads, lock-free vs globally locked, and the parse of one
+/// traced run-journal entry.
 pub fn run_kernels() -> Vec<Kernel> {
     let pages = 4096u64;
     let mut out = Vec::new();
@@ -241,24 +240,6 @@ pub fn run_kernels() -> Vec<Kernel> {
             )
             .expect("touch");
             i += 1;
-        }),
-    });
-
-    // batched_vma_run: 128 pages x 4 touches each through touch_run_vm.
-    let mut m = Machine::new(MachineConfig::paper(1, 1024));
-    let pid = m.guest_mut().spawn();
-    let base = m.guest_mut().mmap(pid, 128).expect("mmap");
-    let run: Vec<(GuestVirtAddr, bool)> = (0..128u64)
-        .flat_map(|p| {
-            let va = GuestVirtAddr::new(base.raw() + p * PAGE_SIZE);
-            [(va, true), (va, false), (va, false), (va, false)]
-        })
-        .collect();
-    m.touch_run_vm(0, 0, pid, &run).expect("warm run");
-    out.push(Kernel {
-        name: "batched_vma_run",
-        ns_per_op: median_ns_per_op(500, || {
-            m.touch_run_vm(0, 0, pid, &run).expect("run");
         }),
     });
 
@@ -458,8 +439,8 @@ pub fn entry_json(cells: &[PerfCell], kernels: &[Kernel], stamp: u64) -> String 
             s,
             "{{\"benchmark\": \"{}\", \"allocator\": \"{}\", \"deterministic\": {{\
              \"cycles\": {}, \"tlb_lookups\": {}, \"tlb_misses\": {}, \"memo_hits\": {}, \
-             \"memo_streak_hits\": {}, \"memo_fills\": {}, \"naive_walks\": {}, \
-             \"memo_clears\": {}}}, \"informational\": {{\"wall_ms\": {:.1}}}, \
+             \"memo_fills\": {}, \"naive_walks\": {}, \"memo_clears\": {}}}, \
+             \"informational\": {{\"wall_ms\": {:.1}}}, \
              \"profile_cycles\": {{",
             c.benchmark,
             c.allocator,
@@ -467,7 +448,6 @@ pub fn entry_json(cells: &[PerfCell], kernels: &[Kernel], stamp: u64) -> String 
             c.tlb_lookups,
             c.tlb_misses,
             c.memo.hits,
-            c.memo.streak_hits,
             c.memo.fills,
             c.memo.naive_walks,
             c.memo.clears,
@@ -757,10 +737,9 @@ mod tests {
             tlb_misses: 1_000,
             memo: MemoStats {
                 hits: 17_000,
-                streak_hits: 5,
                 fills: 80_000,
                 naive_walks: 80_000,
-                clears: 0,
+                ..MemoStats::default()
             },
             wall_ms: 50.0,
             profile: prof.finish(1_000_000),

@@ -52,7 +52,7 @@ pub struct Pulse {
     pub ops_done: u64,
     /// Measured ops this cell will execute (after budget capping).
     pub ops_total: u64,
-    /// Touches served by the walk-memo fast paths (slot + streak hits).
+    /// Touches replayed from a walk-memo slot.
     pub memo_hits: u64,
     /// Touches that took the full naive path.
     pub memo_misses: u64,

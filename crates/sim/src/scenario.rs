@@ -2,6 +2,7 @@
 
 use std::time::{Duration, Instant};
 
+use ptemagnet::UnknownPolicy;
 use serde::{Deserialize, Serialize};
 use vmsim_os::{GuestFrameAllocator, Machine, MachineConfig};
 use vmsim_types::{FaultPlan, Result, RunError};
@@ -190,9 +191,11 @@ impl RunMetrics {
 pub struct Scenario {
     benchmark: BenchId,
     corunners: Vec<CoId>,
-    allocator: AllocatorKind,
-    /// Overrides `allocator` with an arbitrary implementation (used by the
-    /// ablation benches, e.g. non-standard reservation granularities).
+    /// Registry name of the allocator policy. Each VM, and each reboot,
+    /// resolves a fresh instance from it.
+    policy: String,
+    /// Overrides the policy with an arbitrary implementation on a
+    /// single-guest run (e.g. non-standard reservation granularities).
     custom_allocator: Option<Box<dyn GuestFrameAllocator>>,
     stop_corunners_after_init: bool,
     measure_ops: u64,
@@ -206,10 +209,9 @@ pub struct Scenario {
     /// start (seeded from the plan seed and the scenario seed). The plan
     /// arms VM 0's guest only.
     faults: Option<FaultPlan>,
-    /// Overrides the `VMSIM_MEMO` environment default for this run (the
-    /// differential suite runs memo-on and memo-off side by side in one
-    /// process, where a global env var cannot express both).
-    memo: Option<bool>,
+    /// Whether the walk-memo layer is on (the default). The differential
+    /// suite runs memo-on and memo-off side by side.
+    memo: bool,
     /// If set *and* active, the run executes on a multi-tenant host: VM 0
     /// runs this scenario's apps and `count - 1` neighbour VMs each run
     /// the benchmark, sharing an overcommitted host pool. An inactive spec
@@ -230,7 +232,7 @@ impl Scenario {
         Self {
             benchmark,
             corunners: Vec::new(),
-            allocator: AllocatorKind::Default,
+            policy: AllocatorKind::Default.name().to_string(),
             custom_allocator: None,
             stop_corunners_after_init: false,
             measure_ops: 200_000,
@@ -239,7 +241,7 @@ impl Scenario {
             machine: None,
             prefragment_run: None,
             faults: None,
-            memo: None,
+            memo: true,
             vms: None,
             threads: 1,
         }
@@ -253,12 +255,28 @@ impl Scenario {
 
     /// Sets the guest frame allocator.
     pub fn allocator(mut self, kind: AllocatorKind) -> Self {
-        self.allocator = kind;
+        self.policy = kind.name().to_string();
         self
     }
 
+    /// Sets the allocator policy by registry name (`granular:8` and every
+    /// other name `ptemagnet::registry::resolve` accepts). Results are
+    /// labelled by the allocator's [`GuestFrameAllocator::name`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownPolicy`] if the registry does not resolve `name`.
+    pub fn policy(mut self, name: &str) -> core::result::Result<Self, UnknownPolicy> {
+        ptemagnet::registry::resolve(name)?;
+        self.policy = name.to_string();
+        Ok(self)
+    }
+
     /// Uses an arbitrary allocator implementation, labelled by its
-    /// [`GuestFrameAllocator::name`]. Overrides [`Scenario::allocator`].
+    /// [`GuestFrameAllocator::name`]. Overrides [`Scenario::allocator`] and
+    /// [`Scenario::policy`]. Single-guest runs only: a fleet
+    /// ([`Scenario::vms`]) needs a fresh instance per VM and reboot, which
+    /// only a registry policy can give.
     pub fn custom_allocator(mut self, allocator: Box<dyn GuestFrameAllocator>) -> Self {
         self.custom_allocator = Some(allocator);
         self
@@ -315,11 +333,11 @@ impl Scenario {
         self
     }
 
-    /// Forces the walk-memo layer on or off for this run, overriding the
-    /// `VMSIM_MEMO` environment default. The memo layer is validated
-    /// bit-invisible, so this only affects wall-clock time.
+    /// Turns the walk-memo layer on (the default) or off for this run. The
+    /// memo layer is validated bit-invisible, so this only affects
+    /// wall-clock time.
     pub fn memo(mut self, enabled: bool) -> Self {
-        self.memo = Some(enabled);
+        self.memo = enabled;
         self
     }
 
@@ -452,28 +470,22 @@ impl Scenario {
         // apart from a single guest reads this.
         let vms = self.vms.filter(VmsSpec::is_active);
         config.host_frames = fleet::host_frames(vms.as_ref(), &config);
-        let (allocator, allocator_name) = match self.custom_allocator {
-            Some(custom) => {
-                let name = custom.name();
-                (custom, name)
-            }
-            None => (self.allocator.build(), self.allocator.name()),
+        let policy = self.policy;
+        let resolve = move || {
+            ptemagnet::registry::resolve(&policy).expect("policy names are checked when set")
         };
-        let mut machine = match &vms {
-            None => Machine::with_allocator(config, allocator),
+        let mut machine = match (&vms, self.custom_allocator) {
+            (None, custom) => Machine::with_allocator(config, custom.unwrap_or_else(resolve)),
             // Every VM of a fleet, and every reboot, gets a fresh instance
-            // of the policy from the registry.
-            Some(spec) => Machine::multi_tenant(config, fleet::vm_count(spec), move |_| {
-                ptemagnet::registry::resolve(allocator_name)
-                    .expect("policy pre-validated by the driver")
-            }),
+            // of the policy, resolved by its registry name (`granular:8`),
+            // not by its allocator's label (`granular-reservation`).
+            (Some(spec), None) => {
+                Machine::multi_tenant(config, fleet::vm_count(spec), move |_| resolve())
+            }
+            (Some(_), Some(_)) => panic!("a fleet needs a registry policy, not a custom allocator"),
         };
-        // VMSIM_MEMO escape hatch: the memo layer is validated bit-invisible
-        // (see the differential suite), so this only affects wall-clock.
-        machine.set_memo_enabled(
-            self.memo
-                .unwrap_or_else(vmsim_config::env::memo_enabled_or_default),
-        );
+        let allocator_name = machine.guest().allocator().name();
+        machine.set_memo_enabled(self.memo);
         if obs.trace {
             machine.install_tracer(vmsim_obs::Tracer::with_capacity(obs.trace_capacity));
         }
@@ -589,7 +601,7 @@ impl Scenario {
             Pulse {
                 ops_done: done,
                 ops_total: effective_ops,
-                memo_hits: memo.hits + memo.streak_hits,
+                memo_hits: memo.hits,
                 memo_misses: memo.naive_walks,
             }
         };

@@ -71,7 +71,7 @@ use vmsim_obs::json::Json;
 use vmsim_obs::{json, Metric, MetricSource, Registry};
 
 use crate::artifacts;
-use crate::driver::{run_supervised, Supervisor};
+use crate::driver::{preflight, run_supervised, Supervisor};
 use crate::journal::{self, Journal};
 
 /// Format version of the admission journal (`serve.jobs.jsonl`).
@@ -1119,7 +1119,9 @@ fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, doc: &Json) {
             return;
         }
     };
-    if let Err(e) = manifest.validate() {
+    // A manifest that cannot run (bad shape, unknown policy) is refused
+    // here, before it is journaled, queued or given a job directory.
+    if let Err(e) = preflight(&manifest) {
         invalid(stream, shared, &e.to_string());
         return;
     }

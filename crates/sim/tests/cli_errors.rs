@@ -267,6 +267,67 @@ fn invalid_manifest_never_clobbers_an_existing_journal() {
     assert_eq!(before, after, "invalid input must not touch the journal");
 }
 
+/// Interrupts a reduced table4 run in `dir` after its first cell and
+/// returns the journal path and the journal text it left behind.
+fn interrupted_table4(dir: &Path) -> (PathBuf, String) {
+    let out = vmsim_env(
+        &["run", "table4", "--out", &dir.to_string_lossy()],
+        &[("VMSIM_OPS", "2000"), ("VMSIM_CHAOS_CELL", "1")],
+    );
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr_of(&out));
+    let journal = dir.join("table4.journal.jsonl");
+    let text = std::fs::read_to_string(&journal).expect("journal survives the crash");
+    assert_eq!(
+        text.lines().count(),
+        2,
+        "journal holds its header and the completed cell"
+    );
+    (journal, text)
+}
+
+#[test]
+fn unknown_policy_never_clobbers_an_interrupted_journal() {
+    let dir = scratch("journal-policy");
+    let (journal, before) = interrupted_table4(&dir);
+    // A manifest of the same name that passes shape validation but names
+    // a policy the registry does not know must fail before the journal is
+    // opened for truncation.
+    let body = table4_json().replace("\"ptemagnet\"", "\"wizardry\"");
+    let path = write_manifest(&dir, "wizardry.json", &body);
+    let out = vmsim_env(
+        &["run", &path, "--out", &dir.to_string_lossy()],
+        &[("VMSIM_OPS", "2000")],
+    );
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    assert!(stderr_of(&out).contains("unknown policy \"wizardry\""));
+    let after = std::fs::read_to_string(&journal).expect("journal still exists");
+    assert_eq!(
+        before, after,
+        "an unknown policy must not touch the journal"
+    );
+}
+
+#[test]
+fn unusable_progress_path_never_clobbers_an_interrupted_journal() {
+    let dir = scratch("journal-progress");
+    let (journal, before) = interrupted_table4(&dir);
+    let unwritable = dir.join("no-such-dir").join("p.jsonl");
+    let out = vmsim_env(
+        &[
+            "run",
+            "table4",
+            "--out",
+            &dir.to_string_lossy(),
+            "--progress",
+            &unwritable.to_string_lossy(),
+        ],
+        &[("VMSIM_OPS", "2000")],
+    );
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    let after = std::fs::read_to_string(&journal).expect("journal still exists");
+    assert_eq!(before, after, "a usage error must not touch the journal");
+}
+
 #[test]
 fn chaos_then_resume_reproduces_clean_results_byte_for_byte() {
     let clean_dir = scratch("roundtrip-clean");

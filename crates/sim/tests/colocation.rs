@@ -221,3 +221,43 @@ fn fleet_workloads_run_their_corunners_in_vm_0() {
         assert_eq!(gauge(c, "vm.1.faults"), gauge(s, "vm.1.faults"));
     }
 }
+
+#[test]
+fn fleet_resolves_parameterised_policies_by_registry_name() {
+    // Every VM, and every VM rebooted by churn, resolves its allocator
+    // from the policy's registry name (`granular:8`), not from the
+    // allocator's report label (`granular-reservation`).
+    let mut m = small_manifest();
+    m.obs = ObsConfig::disabled();
+    m.sim = Some(SimConfig {
+        guest_mb: Some(48),
+        cores: Some(2),
+        ..SimConfig::default()
+    });
+    if let vmsim_config::ExperimentSpec::Matrix(matrix) = &mut m.experiment {
+        matrix.policies = vec!["default".into(), "granular:8".into()];
+        matrix.workloads[0] = matrix.workloads[0].clone().with_vms(VmsSpec {
+            count: 4,
+            overcommit: 1.5,
+            churn_period_ops: Some(1_000),
+            churn_kills: 1,
+            balloon_watermark: Some(0.1),
+        });
+    }
+    let run = run_manifest(&m).expect("fleet manifest runs");
+    assert_eq!(run.supervision.quarantined, 0, "{:?}", run.outcome);
+    let labels: Vec<&str> = run
+        .cells
+        .iter()
+        .map(|c| c.metrics().expect("cell completed").allocator.as_str())
+        .collect();
+    assert_eq!(labels, ["default", "granular-reservation"]);
+    let granular = run.cells[1].observed().expect("cell ran");
+    let reboots: u64 = (1..4)
+        .map(|vm| {
+            let boots = granular.snapshot.get(&format!("vm.{vm}.boots"));
+            boots.and_then(|v| v.as_u64()).expect("fleet gauge") - 1
+        })
+        .sum();
+    assert!(reboots > 0, "churn rebooted a VM under granular:8");
+}

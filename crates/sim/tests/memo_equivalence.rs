@@ -1,12 +1,10 @@
-//! Differential proof that the memoizing, batching translation core is
+//! Differential proof that the memoizing translation core is
 //! **bit-invisible**: a memo-on run must be field-identical to a memo-off
 //! (naive) run — end-of-run metrics, the epoch time series, the final
 //! metrics snapshot, and the event trace — across seeds, every registry
-//! policy, live fault plans, and worker-pool widths. Batched-vs-per-op
-//! equivalence is proven separately at the engine and machine layers
-//! (`engine::batched_rounds_match_per_op_stepping`,
-//! `machine::touch_run_matches_per_op_touches`); scenario runs always
-//! batch, so the memo-off runs here are the batched-naive baseline.
+//! policy, live fault plans, and worker-pool widths. Every touch takes
+//! the one per-access path (`Machine::touch_vm`), so the memo slot is the
+//! only fast path and the memo-off runs here are the naive baseline.
 //!
 //! The second half unit-tests the memo invalidation sources the
 //! differential sweep can only exercise statistically: reclaim storms,

@@ -243,6 +243,51 @@ fn malformed_requests_get_typed_invalid_responses() {
     assert_eq!(run.drain(), 0);
 }
 
+/// A manifest that parses and passes shape validation but names a policy
+/// the registry does not know is refused at admission with the typed
+/// `invalid` answer: nothing is journaled, queued or given a job directory.
+#[test]
+fn unknown_policy_submit_is_invalid_and_never_admitted() {
+    let out = scratch("unknownpolicy");
+    let run = start(&config(&out, 8));
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(&out)
+            .expect("out dir")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let jobs = out.join("serve.jobs.jsonl");
+    let journal_before = std::fs::read(&jobs).unwrap_or_default();
+    let dir_before = listing();
+
+    let manifest = builtin::smoke()
+        .to_json()
+        .replace("\"ptemagnet\"", "\"wizardry\"");
+    let mut req = String::from("{\"op\": \"submit\", \"manifest_json\": ");
+    json::write_str(&mut req, &manifest);
+    req.push_str(", \"wait\": true}");
+    let doc = json::parse(&request_line(&run.addr, &req)).expect("answer is JSON");
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(doc.get("error").and_then(|e| e.as_str()), Some("invalid"));
+    assert!(doc
+        .get("message")
+        .and_then(|m| m.as_str())
+        .is_some_and(|m| m.contains("unknown policy \"wizardry\"")));
+
+    let health = json::parse(&request_line(&run.addr, "{\"op\": \"health\"}")).expect("health");
+    assert_eq!(gauge(&health, "invalid"), Some(1));
+    assert_eq!(gauge(&health, "accepted"), Some(0));
+    assert_eq!(
+        std::fs::read(&jobs).unwrap_or_default(),
+        journal_before,
+        "nothing is appended to the admission journal"
+    );
+    assert_eq!(listing(), dir_before, "no job directory is created");
+    assert_eq!(run.drain(), 0);
+}
+
 /// `health` and `status` expose the whole `serve.*` gauge group; `status`
 /// adds the queue view.
 #[test]
