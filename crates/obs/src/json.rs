@@ -2,11 +2,11 @@
 //!
 //! The build environment has no `serde_json`, so the observability layer
 //! hand-writes its JSON and carries its own parser. It is the one parser
-//! behind every JSON input in the tree: `vmsim run` re-parses every
-//! artifact it writes and fails loudly on malformed output, run journals
-//! and the serve admission journal are replayed through it, and manifests
-//! and the serve line protocol are read with it. The writer never
-//! produces NaN/infinite numbers (they are mapped to `null`).
+//! behind every JSON input in the tree: `vmsim run` checks every artifact
+//! it writes and fails loudly on malformed output, run journals and the
+//! serve admission journal are replayed through it, and manifests and the
+//! serve line protocol are read with it. The writer never produces
+//! NaN/infinite numbers (they are mapped to `null`).
 //!
 //! # Accepted grammar
 //!
@@ -21,12 +21,20 @@
 //!   decodes to its one scalar; a lone surrogate decodes to U+FFFD. A raw
 //!   control character (U+0000–U+001F) inside a string is an error.
 //!
+//! [`validate`] runs the same parser over a sink that builds nothing: it
+//! accepts and rejects exactly what [`parse`] does, with the same error
+//! position and message, but allocates no tree. The artifact writer uses
+//! it for every document whose values it does not need, such as each line
+//! of a trace.
+//!
 //! # Linear time
 //!
-//! Parsing is linear in the input length. A string's unescaped bytes are
-//! copied a run at a time (up to the next `"`, `\` or control byte) rather
-//! than one character at a time, so a journal entry carrying megabytes of
-//! escaped trace JSONL parses in milliseconds.
+//! Parsing and writing are linear in the text's length. The parser copies
+//! a string's unescaped bytes a run at a time (up to the next `"`, `\` or
+//! control byte) rather than one character at a time, so a journal entry
+//! carrying megabytes of escaped trace JSONL parses in milliseconds.
+//! [`write_str`] and [`write_str_to`] likewise copy each run of bytes that
+//! needs no escape in one piece.
 
 use std::fmt::Write as _;
 
@@ -108,10 +116,22 @@ impl std::error::Error for ParseError {}
 /// Parse a complete JSON document; trailing whitespace is allowed, trailing
 /// garbage is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
+    document::<Tree>(input)
+}
+
+/// Check that `input` is one JSON document, exactly as [`parse`] would,
+/// without building it: `validate(s)` is `parse(s).map(drop)`, with the
+/// same error position and message.
+pub fn validate(input: &str) -> Result<(), ParseError> {
+    document::<Check>(input)
+}
+
+fn document<S: Sink>(input: &str) -> Result<S::Value, ParseError> {
+    let mut p = Parser::<S> {
         input,
         bytes: input.as_bytes(),
         pos: 0,
+        sink: std::marker::PhantomData,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -122,13 +142,98 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     Ok(value)
 }
 
-struct Parser<'a> {
+/// What the parser makes of the values it recognises. The parser owns the
+/// grammar; a sink only assembles: [`Tree`] builds a [`Json`] and
+/// [`Check`] builds nothing, so both accept and reject exactly the same
+/// inputs.
+trait Sink {
+    type Value;
+    /// A string under construction (also an object key).
+    type Str: Default;
+    type Arr: Default;
+    type Obj: Default;
+    fn push_text(s: &mut Self::Str, text: &str);
+    fn push_char(s: &mut Self::Str, c: char);
+    fn string(s: Self::Str) -> Self::Value;
+    fn push_item(arr: &mut Self::Arr, value: Self::Value);
+    fn array(arr: Self::Arr) -> Self::Value;
+    fn push_field(obj: &mut Self::Obj, key: Self::Str, value: Self::Value);
+    fn object(obj: Self::Obj) -> Self::Value;
+    /// `null`, `true` or `false`.
+    fn literal(value: Json) -> Self::Value;
+    /// A number whose text matched the RFC grammar; `None` if it does not
+    /// convert.
+    fn number(text: &str) -> Option<Self::Value>;
+}
+
+/// Builds the [`Json`] tree.
+struct Tree;
+
+impl Sink for Tree {
+    type Value = Json;
+    type Str = String;
+    type Arr = Vec<Json>;
+    type Obj = Vec<(String, Json)>;
+    fn push_text(s: &mut String, text: &str) {
+        s.push_str(text);
+    }
+    fn push_char(s: &mut String, c: char) {
+        s.push(c);
+    }
+    fn string(s: String) -> Json {
+        Json::Str(s)
+    }
+    fn push_item(arr: &mut Vec<Json>, value: Json) {
+        arr.push(value);
+    }
+    fn array(arr: Vec<Json>) -> Json {
+        Json::Arr(arr)
+    }
+    fn push_field(obj: &mut Vec<(String, Json)>, key: String, value: Json) {
+        obj.push((key, value));
+    }
+    fn object(obj: Vec<(String, Json)>) -> Json {
+        Json::Obj(obj)
+    }
+    fn literal(value: Json) -> Json {
+        value
+    }
+    fn number(text: &str) -> Option<Json> {
+        text.parse::<f64>().ok().map(Json::Num)
+    }
+}
+
+/// Builds nothing: [`validate`]'s sink.
+struct Check;
+
+impl Sink for Check {
+    type Value = ();
+    type Str = ();
+    type Arr = ();
+    type Obj = ();
+    fn push_text((): &mut (), _: &str) {}
+    fn push_char((): &mut (), _: char) {}
+    fn string((): ()) {}
+    fn push_item((): &mut (), (): ()) {}
+    fn array((): ()) {}
+    fn push_field((): &mut (), (): (), (): ()) {}
+    fn object((): ()) {}
+    fn literal(_: Json) {}
+    fn number(_: &str) -> Option<()> {
+        // Every text the grammar admits converts to an `f64` (a huge
+        // exponent saturates to infinity rather than failing).
+        Some(())
+    }
+}
+
+struct Parser<'a, S> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    sink: std::marker::PhantomData<S>,
 }
 
-impl<'a> Parser<'a> {
+impl<S: Sink> Parser<'_, S> {
     fn err(&self, msg: &'static str) -> ParseError {
         ParseError { pos: self.pos, msg }
     }
@@ -152,20 +257,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
+    fn literal(&mut self, word: &str, value: Json) -> Result<S::Value, ParseError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(S::literal(value))
         } else {
             Err(self.err("invalid literal"))
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    fn value(&mut self) -> Result<S::Value, ParseError> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(S::string(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
@@ -174,13 +279,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
+    fn object(&mut self) -> Result<S::Value, ParseError> {
         self.expect(b'{', "expected '{'")?;
-        let mut fields = Vec::new();
+        let mut fields = S::Obj::default();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(S::object(fields));
         }
         loop {
             self.skip_ws();
@@ -189,45 +294,46 @@ impl<'a> Parser<'a> {
             self.expect(b':', "expected ':' after object key")?;
             self.skip_ws();
             let value = self.value()?;
-            fields.push((key, value));
+            S::push_field(&mut fields, key, value);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(S::object(fields));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
+    fn array(&mut self) -> Result<S::Value, ParseError> {
         self.expect(b'[', "expected '['")?;
-        let mut items = Vec::new();
+        let mut items = S::Arr::default();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(S::array(items));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            S::push_item(&mut items, item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(S::array(items));
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    fn string(&mut self) -> Result<S::Str, ParseError> {
         self.expect(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        let mut out = S::Str::default();
         loop {
             // Copy the run of plain bytes up to the next delimiter in one
             // go. Every delimiter is ASCII, so the run ends on a char
@@ -236,7 +342,7 @@ impl<'a> Parser<'a> {
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(self.bytes.len() - self.pos);
-            out.push_str(&self.input[self.pos..self.pos + run]);
+            S::push_text(&mut out, &self.input[self.pos..self.pos + run]);
             self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
@@ -246,24 +352,24 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.unicode_escape()?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            continue;
-                        }
+                    let simple = match self.peek() {
+                        Some(b'"') => Some('"'),
+                        Some(b'\\') => Some('\\'),
+                        Some(b'/') => Some('/'),
+                        Some(b'b') => Some('\u{0008}'),
+                        Some(b'f') => Some('\u{000C}'),
+                        Some(b'n') => Some('\n'),
+                        Some(b'r') => Some('\r'),
+                        Some(b't') => Some('\t'),
+                        Some(b'u') => None,
                         _ => return Err(self.err("invalid escape sequence")),
-                    }
+                    };
                     self.pos += 1;
+                    let decoded = match simple {
+                        Some(c) => c,
+                        None => char::from_u32(self.unicode_escape()?).unwrap_or('\u{FFFD}'),
+                    };
+                    S::push_char(&mut out, decoded);
                 }
                 Some(_) => return Err(self.err("unescaped control character in string")),
             }
@@ -306,7 +412,7 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    fn number(&mut self) -> Result<S::Value, ParseError> {
         let start = self.pos;
         let invalid = ParseError {
             pos: start,
@@ -342,10 +448,7 @@ impl<'a> Parser<'a> {
                 return Err(invalid);
             }
         }
-        self.input[start..self.pos]
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| invalid)
+        S::number(&self.input[start..self.pos]).ok_or(invalid)
     }
 
     /// Consumes a run of ASCII digits and returns its length.
@@ -360,21 +463,60 @@ impl<'a> Parser<'a> {
 
 /// Append `s` to `out` as a JSON string literal (with surrounding quotes).
 pub fn write_str(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let Ok(()) = escape(s, |piece| -> Result<(), std::convert::Infallible> {
+        out.push_str(piece);
+        Ok(())
+    });
+    out.push('"');
+}
+
+/// Write `s` to `w` as a JSON string literal: the same bytes [`write_str`]
+/// appends, streamed instead of built.
+pub fn write_str_to(w: &mut impl std::io::Write, s: &str) -> std::io::Result<()> {
+    w.write_all(b"\"")?;
+    escape(s, |piece| w.write_all(piece.as_bytes()))?;
+    w.write_all(b"\"")
+}
+
+/// Hands the escaped body of `s` to `emit` piece by piece: each run of
+/// bytes that needs no escape as one piece, then each escape sequence.
+/// Only ASCII bytes are escaped, so every piece is whole UTF-8.
+fn escape<E>(s: &str, mut emit: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let code;
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => {
+                code = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(b >> 4)],
+                    HEX[usize::from(b & 0xf)],
+                ];
+                std::str::from_utf8(&code).expect("an ASCII escape")
             }
-            c => out.push(c),
+            _ => continue,
+        };
+        if start < i {
+            emit(&s[start..i])?;
         }
+        emit(escaped)?;
+        start = i + 1;
     }
-    out.push('"');
+    if start < s.len() {
+        emit(&s[start..])?;
+    }
+    Ok(())
 }
 
 /// Append an `f64` as a JSON number; non-finite values become `null`.

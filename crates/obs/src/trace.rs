@@ -201,15 +201,35 @@ pub struct Event {
 }
 
 impl Event {
+    /// Appends this event's JSONL object, `{"op":N,"event":"kind",...fields}`,
+    /// to `out` (without a newline). Every rendering of an event goes
+    /// through here.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"op\":{},\"event\":", self.op);
+        json::write_str(out, self.kind.name());
+        self.kind.write_fields(out);
+        out.push('}');
+    }
+
     /// One JSONL line: `{"op":N,"event":"kind",...fields}`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64);
-        let _ = write!(out, "{{\"op\":{},\"event\":", self.op);
-        json::write_str(&mut out, self.kind.name());
-        self.kind.write_fields(&mut out);
-        out.push('}');
+        self.write_json(&mut out);
         out
     }
+}
+
+/// `events` as JSON Lines: one [`Event::write_json`] object per line, in
+/// order, rendered into a single buffer.
+pub fn to_jsonl<'a>(events: impl IntoIterator<Item = &'a Event>) -> String {
+    let events = events.into_iter();
+    // Rendered lines average 60-80 bytes.
+    let mut out = String::with_capacity(events.size_hint().0 * 80);
+    for event in events {
+        event.write_json(&mut out);
+        out.push('\n');
+    }
+    out
 }
 
 /// Bounded ring buffer of [`Event`]s.
@@ -279,12 +299,7 @@ impl Tracer {
 
     /// All retained events as JSON Lines (one object per line, oldest first).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.buf.len() * 64);
-        for event in &self.buf {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
-        out
+        to_jsonl(&self.buf)
     }
 }
 

@@ -17,10 +17,18 @@
 //! compares like with like. Every failure is diagnosed through the caller's
 //! `log` sink (one preformatted line per event) and counted, never panicked
 //! on.
+//!
+//! Every JSON document written is checked against the parser's grammar.
+//! The results JSON is parsed, because its run count is reported; every
+//! trace line, series and profile is only validated ([`json::validate`]),
+//! which builds no tree. A fresh cell's trace text is the one its pool
+//! worker rendered for the journal, not a second rendering. A cell whose
+//! trace ring overflowed gets one log line saying how many events were
+//! dropped; the artifacts do not change.
 
 use std::path::{Path, PathBuf};
 
-use vmsim_obs::{json, PhaseProfile};
+use vmsim_obs::{json, trace, PhaseProfile};
 
 use crate::driver::ManifestRun;
 
@@ -94,7 +102,7 @@ pub fn write_all(
                 if let Err(e) = std::fs::write(&path, &text) {
                     log(&format!("FAIL {}: cannot write: {e}", path.display()));
                     failures += 1;
-                } else if let Err(e) = json::parse(&text) {
+                } else if let Err(e) = json::validate(&text) {
                     log(&format!("FAIL {}: {e:?}", path.display()));
                     failures += 1;
                 }
@@ -130,12 +138,12 @@ pub fn write_all(
             };
             let i = cell.index;
             let trace_path = out_dir.join(format!("trace_{}_{i}.jsonl", manifest.name));
-            if let Err(e) = std::fs::write(&trace_path, &jsonl) {
+            if let Err(e) = std::fs::write(&trace_path, jsonl) {
                 log(&format!("FAIL {}: cannot write: {e}", trace_path.display()));
                 failures += 1;
             } else {
                 for (n, line) in jsonl.lines().enumerate() {
-                    if let Err(e) = json::parse(line) {
+                    if let Err(e) = json::validate(line) {
                         log(&format!(
                             "FAIL {}: line {} unparseable: {e:?}",
                             trace_path.display(),
@@ -145,8 +153,18 @@ pub fn write_all(
                     }
                 }
             }
+            if let Some(o) = cell.observed().filter(|o| o.trace_dropped > 0) {
+                log(&format!(
+                    "vmsim: {}: the trace ring dropped {} earlier events and kept the \
+                     last {} (trace_capacity {})",
+                    trace_path.display(),
+                    o.trace_dropped,
+                    o.events.len(),
+                    manifest.obs.trace_capacity
+                ));
+            }
             let series_path = out_dir.join(format!("series_{}_{i}.csv", manifest.name));
-            if let Err(e) = std::fs::write(&series_path, &csv) {
+            if let Err(e) = std::fs::write(&series_path, csv) {
                 log(&format!(
                     "FAIL {}: cannot write: {e}",
                     series_path.display()
@@ -156,7 +174,7 @@ pub fn write_all(
             // Fresh cells also verify the series' JSON rendering (replayed
             // cells were verified when they originally ran).
             if let Some(observed) = cell.observed() {
-                if let Err(e) = json::parse(&observed.series.to_json()) {
+                if let Err(e) = json::validate(&observed.series.to_json()) {
                     log(&format!("FAIL series {}_{i}: {e:?}", manifest.name));
                     failures += 1;
                 }
@@ -167,11 +185,7 @@ pub fn write_all(
     // The supervisor trace exists only when something degraded the run, so
     // a clean (or cleanly resumed) run's artifact set is unchanged.
     if !run.supervision.is_clean() && !run.supervisor_events.is_empty() {
-        let mut jsonl = String::new();
-        for event in &run.supervisor_events {
-            jsonl.push_str(&event.to_json());
-            jsonl.push('\n');
-        }
+        let jsonl = trace::to_jsonl(&run.supervisor_events);
         let path = out_dir.join(format!("trace_{}_supervisor.jsonl", manifest.name));
         if let Err(e) = std::fs::write(&path, &jsonl) {
             log(&format!("FAIL {}: cannot write: {e}", path.display()));
@@ -229,6 +243,46 @@ mod tests {
             .exists());
         assert!(lines.iter().any(|l| l.starts_with("vmsim: wrote")));
         assert!(lines.iter().all(|l| !l.starts_with("FAIL")));
+    }
+
+    #[test]
+    fn a_trace_ring_overflow_is_logged_and_leaves_the_artifacts_alone() {
+        let mut manifest = builtin::smoke();
+        let clean = run_supervised(&manifest, &Supervisor::default()).expect("run");
+        let mut lines = Vec::new();
+        let set = write_all(&clean, &scratch("ring-default"), 0.0, &mut |l| {
+            lines.push(l.to_string());
+        });
+        assert_eq!(set.failures, 0);
+        assert!(lines.iter().all(|l| !l.contains("dropped")), "{lines:?}");
+
+        manifest.obs.trace_capacity = 64;
+        let run = run_supervised(&manifest, &Supervisor::default()).expect("run");
+        assert_eq!(run.results_json(), clean.results_json());
+        let out = scratch("ring-small");
+        let mut lines = Vec::new();
+        let set = write_all(&run, &out, 0.0, &mut |l| lines.push(l.to_string()));
+        assert_eq!(set.failures, 0);
+        let drops: Vec<&String> = lines.iter().filter(|l| l.contains("dropped")).collect();
+        assert_eq!(drops.len(), 2, "one line per cell: {lines:?}");
+        for (i, (line, cell)) in drops.iter().zip(&run.cells).enumerate() {
+            let observed = cell.observed().expect("fresh cell");
+            assert!(observed.trace_dropped > 0);
+            assert!(!line.starts_with("FAIL"), "{line}");
+            assert!(line.contains(&format!("trace_{}_{i}.jsonl", manifest.name)));
+            assert!(
+                line.contains(&format!("dropped {} ", observed.trace_dropped)),
+                "{line}"
+            );
+            assert!(line.contains("kept the last 64 "), "{line}");
+            assert!(line.contains("(trace_capacity 64)"), "{line}");
+            // The trace artifact holds exactly the retained window.
+            let trace =
+                std::fs::read_to_string(out.join(format!("trace_{}_{i}.jsonl", manifest.name)))
+                    .expect("trace artifact");
+            assert_eq!(trace, observed.events_jsonl());
+            assert_eq!(trace.lines().count(), 64);
+        }
     }
 
     #[test]

@@ -183,14 +183,39 @@ pub enum Outcome {
     Degraded,
 }
 
+/// A matrix cell executed in this process: its observed run plus its
+/// trace and series artifact text, rendered once in the pool worker. The
+/// journal entry and the artifact writer both use that one text.
+#[derive(Debug)]
+pub struct FreshCell {
+    /// The full observability payload.
+    pub(crate) run: ObservedRun,
+    /// The trace artifact text (empty when tracing was off).
+    pub(crate) events_jsonl: String,
+    /// The epoch-series CSV artifact text.
+    pub(crate) series_csv: String,
+}
+
+impl FreshCell {
+    /// Renders `run`'s artifact text.
+    #[must_use]
+    pub fn new(run: ObservedRun) -> FreshCell {
+        FreshCell {
+            events_jsonl: run.events_jsonl(),
+            series_csv: run.series.to_csv(),
+            run,
+        }
+    }
+}
+
 /// The payload of a completed matrix cell: a freshly executed run or one
 /// replayed from a [`Journal`].
 #[derive(Debug)]
 pub enum CellData {
     /// Executed in this process; full observability payload available.
-    Fresh(ObservedRun),
+    Fresh(Box<FreshCell>),
     /// Replayed from a journal: metrics plus the original artifact text.
-    Resumed(JournalEntry),
+    Resumed(Box<JournalEntry>),
 }
 
 impl CellData {
@@ -198,7 +223,7 @@ impl CellData {
     #[must_use]
     pub fn metrics(&self) -> &RunMetrics {
         match self {
-            CellData::Fresh(run) => &run.metrics,
+            CellData::Fresh(cell) => &cell.run.metrics,
             CellData::Resumed(entry) => &entry.metrics,
         }
     }
@@ -230,7 +255,7 @@ impl CellRun {
     #[must_use]
     pub fn observed(&self) -> Option<&ObservedRun> {
         match &self.data {
-            Ok(CellData::Fresh(run)) => Some(run),
+            Ok(CellData::Fresh(cell)) => Some(&cell.run),
             _ => None,
         }
     }
@@ -245,7 +270,7 @@ impl CellRun {
     #[must_use]
     pub fn truncated(&self) -> bool {
         match &self.data {
-            Ok(CellData::Fresh(run)) => run.truncated,
+            Ok(CellData::Fresh(cell)) => cell.run.truncated,
             Ok(CellData::Resumed(entry)) => entry.truncated,
             Err(_) => false,
         }
@@ -254,20 +279,20 @@ impl CellRun {
     /// The cell's trace artifact text, if it completed (empty string when
     /// tracing was off).
     #[must_use]
-    pub fn events_jsonl(&self) -> Option<String> {
+    pub fn events_jsonl(&self) -> Option<&str> {
         match &self.data {
-            Ok(CellData::Fresh(run)) => Some(run.events_jsonl()),
-            Ok(CellData::Resumed(entry)) => Some(entry.events_jsonl.clone()),
+            Ok(CellData::Fresh(cell)) => Some(&cell.events_jsonl),
+            Ok(CellData::Resumed(entry)) => Some(&entry.events_jsonl),
             Err(_) => None,
         }
     }
 
     /// The cell's epoch-series CSV artifact text, if it completed.
     #[must_use]
-    pub fn series_csv(&self) -> Option<String> {
+    pub fn series_csv(&self) -> Option<&str> {
         match &self.data {
-            Ok(CellData::Fresh(run)) => Some(run.series.to_csv()),
-            Ok(CellData::Resumed(entry)) => Some(entry.series_csv.clone()),
+            Ok(CellData::Fresh(cell)) => Some(&cell.series_csv),
+            Ok(CellData::Resumed(entry)) => Some(&entry.series_csv),
             Err(_) => None,
         }
     }
@@ -548,7 +573,7 @@ fn run_cell(
                 index: i,
                 attempts: entry.attempts,
                 resumed: true,
-                data: Ok(CellData::Resumed(entry.clone())),
+                data: Ok(CellData::Resumed(Box::new(entry.clone()))),
             };
         }
     }
@@ -589,22 +614,23 @@ fn run_cell(
         }));
         last = Some(match outcome {
             Ok(Ok(run)) => {
-                let cell = CellRun {
-                    index: i,
-                    attempts: attempt + 1,
-                    resumed: false,
-                    data: Ok(CellData::Fresh(run)),
-                };
-                if let (Some(journal), Ok(CellData::Fresh(run))) = (sup.journal, &cell.data) {
+                let fresh = FreshCell::new(run);
+                if let Some(journal) = sup.journal {
                     journal.record(
                         i as u64,
                         &label,
                         policy.name(),
                         base_seed,
-                        cell.attempts,
-                        run,
+                        attempt + 1,
+                        &fresh,
                     );
                 }
+                let cell = CellRun {
+                    index: i,
+                    attempts: attempt + 1,
+                    resumed: false,
+                    data: Ok(CellData::Fresh(Box::new(fresh))),
+                };
                 if let Some(progress) = sup.progress {
                     progress.cell_status(
                         i as u64,

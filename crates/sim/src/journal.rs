@@ -31,15 +31,21 @@
 //! stay below 2^53; every simulator counter does by a wide margin.
 //!
 //! A traced cell's entry holds its whole trace as one escaped `events`
-//! string — several megabytes for a fleet cell. The checksum and the
-//! parser are both linear, so resuming a traced run takes time linear in
-//! the journal's size: a reduced colocation sweep's 46 MB journal replays
-//! in about a second on a 2-vCPU host.
+//! string — several megabytes for a fleet cell. [`Journal::record`]
+//! streams the entry to the file through a 64 KiB buffer: the head is
+//! formatted, the trace and series are escaped straight from the cell's
+//! rendered text (the same text the artifact writer writes), and the
+//! checksum folds in each byte on its way out. Appending a cell therefore
+//! holds no copy of its entry in memory; a journal's own memory is that
+//! buffer plus the entries it replays. The checksum and the parser are both
+//! linear, so resuming a traced run takes time linear in the journal's
+//! size: a reduced colocation sweep's 46 MB journal replays in about a
+//! second on a 2-vCPU host.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -47,7 +53,7 @@ use vmsim_config::ExperimentManifest;
 use vmsim_obs::json::{self, Json};
 use vmsim_types::RunError;
 
-use crate::obs::ObservedRun;
+use crate::driver::FreshCell;
 use crate::scenario::RunMetrics;
 
 /// Journal format version (the header's `"journal"` field). Version 2
@@ -55,10 +61,20 @@ use crate::scenario::RunMetrics;
 /// on resume (their entries carry no integrity proof).
 pub const JOURNAL_VERSION: u64 = 2;
 
+/// Size of the buffer an entry streams through on its way to the file.
+const SINK_BUFFER: usize = 64 << 10;
+
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit hash, the journal's content-hash primitive.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(FNV1A_BASIS, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -77,13 +93,8 @@ pub fn manifest_hash(manifest: &ExperimentManifest) -> u64 {
 /// cell's matrix index and base seed.
 #[must_use]
 pub fn cell_key(manifest_hash: u64, index: u64, seed: u64) -> u64 {
-    let mut h = manifest_hash;
-    for word in [index, seed] {
-        for byte in word.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let h = fnv1a_extend(manifest_hash, &index.to_le_bytes());
+    fnv1a_extend(h, &seed.to_le_bytes())
 }
 
 /// One journaled cell: everything needed to replay it without re-running.
@@ -103,8 +114,36 @@ pub struct JournalEntry {
 
 #[derive(Debug)]
 struct Sink {
-    file: Option<File>,
+    file: Option<BufWriter<File>>,
     error: Option<String>,
+}
+
+impl Sink {
+    fn open(file: File) -> Mutex<Sink> {
+        Mutex::new(Sink {
+            file: Some(BufWriter::with_capacity(SINK_BUFFER, file)),
+            error: None,
+        })
+    }
+}
+
+/// Passes writes through to `inner`, folding every byte written into an
+/// FNV-1a hash.
+struct Fnv1aWriter<'a, W> {
+    inner: &'a mut W,
+    hash: u64,
+}
+
+impl<W: io::Write> io::Write for Fnv1aWriter<'_, W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.hash = fnv1a_extend(self.hash, &buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 /// An append-only run journal bound to one manifest.
@@ -139,10 +178,7 @@ impl Journal {
             path: path.to_path_buf(),
             hash,
             entries: HashMap::new(),
-            sink: Mutex::new(Sink {
-                file: Some(file),
-                error: None,
-            }),
+            sink: Sink::open(file),
         })
     }
 
@@ -220,10 +256,7 @@ impl Journal {
             path: path.to_path_buf(),
             hash,
             entries,
-            sink: Mutex::new(Sink {
-                file: Some(file),
-                error: None,
-            }),
+            sink: Sink::open(file),
         })
     }
 
@@ -260,37 +293,27 @@ impl Journal {
         policy: &str,
         seed: u64,
         attempts: u32,
-        run: &ObservedRun,
+        cell: &FreshCell,
     ) {
         let key = cell_key(self.hash, index, seed);
-        let mut line = String::with_capacity(512);
+        let mut head = String::with_capacity(1024);
         let _ = write!(
-            line,
+            head,
             "{{\"key\": \"{key:016x}\", \"cell\": {index}, \"attempts\": {attempts}, \
              \"truncated\": {}, \"run\": ",
-            run.truncated
+            cell.run.truncated
         );
-        crate::driver::run_json(&mut line, workload, policy, seed, &run.metrics);
-        line.push_str(", \"events\": ");
-        json::write_str(&mut line, &run.events_jsonl());
-        line.push_str(", \"series\": ");
-        json::write_str(&mut line, &run.series.to_csv());
-        // Seal the entry with a checksum over everything before the crc
-        // field, so resume can tell a tampered-but-parseable line from a
-        // genuine one.
-        let crc = fnv1a(line.as_bytes());
-        let _ = write!(line, ", \"crc\": \"{crc:016x}\"}}");
-        line.push('\n');
+        crate::driver::run_json(&mut head, workload, policy, seed, &cell.run.metrics);
+        head.push_str(", \"events\": ");
 
         let mut sink = self.sink.lock().expect("journal sink poisoned");
         if sink.error.is_some() {
             return;
         }
-        let result = match sink.file.as_mut() {
-            Some(file) => file.write_all(line.as_bytes()).and_then(|()| file.flush()),
-            None => return,
+        let Some(file) = sink.file.as_mut() else {
+            return;
         };
-        if let Err(e) = result {
+        if let Err(e) = write_entry(file, &head, cell) {
             sink.error = Some(format!("{}: {e}", self.path.display()));
             sink.file = None;
         }
@@ -305,6 +328,24 @@ impl Journal {
             .error
             .clone()
     }
+}
+
+/// Streams one entry line: `head` (everything up to the `events` value),
+/// the escaped trace and series, then the crc field. The crc is FNV-1a
+/// over everything before `, "crc"`, folded in as the bytes are written,
+/// so resume can tell a tampered-but-parseable line from a genuine one.
+fn write_entry(file: &mut BufWriter<File>, head: &str, cell: &FreshCell) -> io::Result<()> {
+    let mut out = Fnv1aWriter {
+        inner: file,
+        hash: FNV1A_BASIS,
+    };
+    out.write_all(head.as_bytes())?;
+    json::write_str_to(&mut out, &cell.events_jsonl)?;
+    out.write_all(b", \"series\": ")?;
+    json::write_str_to(&mut out, &cell.series_csv)?;
+    let crc = out.hash;
+    writeln!(file, ", \"crc\": \"{crc:016x}\"}}")?;
+    file.flush()
 }
 
 fn header(name: &str, hash: u64) -> String {
@@ -408,9 +449,9 @@ mod tests {
         dir
     }
 
-    fn smoke_cell() -> ObservedRun {
+    fn smoke_cell() -> FreshCell {
         let manifest = builtin::smoke();
-        crate::driver::build_scenario(
+        let run = crate::driver::build_scenario(
             &manifest,
             match &manifest.experiment {
                 vmsim_config::ExperimentSpec::Matrix(m) => &m.workloads[0],
@@ -424,7 +465,8 @@ mod tests {
         )
         .expect("smoke scenario")
         .try_run_observed(manifest.obs)
-        .expect("smoke run")
+        .expect("smoke run");
+        FreshCell::new(run)
     }
 
     #[test]
@@ -432,10 +474,10 @@ mod tests {
         let dir = scratch("roundtrip");
         let path = dir.join("j.jsonl");
         let manifest = builtin::smoke();
-        let run = smoke_cell();
+        let cell = smoke_cell();
 
         let journal = Journal::create(&path, &manifest).expect("create");
-        journal.record(0, "gcc", "buddy", manifest.seeds[0], 2, &run);
+        journal.record(0, "gcc", "buddy", manifest.seeds[0], 2, &cell);
         assert!(journal.io_error().is_none());
         drop(journal);
 
@@ -444,10 +486,53 @@ mod tests {
         let key = cell_key(manifest_hash(&manifest), 0, manifest.seeds[0]);
         let entry = resumed.lookup(key).expect("entry present");
         assert_eq!(entry.attempts, 2);
-        assert_eq!(entry.truncated, run.truncated);
-        assert_eq!(entry.metrics, run.metrics);
-        assert_eq!(entry.events_jsonl, run.events_jsonl());
-        assert_eq!(entry.series_csv, run.series.to_csv());
+        assert_eq!(entry.truncated, cell.run.truncated);
+        assert_eq!(entry.metrics, cell.run.metrics);
+        assert_eq!(entry.events_jsonl, cell.run.events_jsonl());
+        assert_eq!(entry.series_csv, cell.run.series.to_csv());
+    }
+
+    #[test]
+    fn streamed_entry_matches_a_line_built_whole() {
+        let dir = scratch("streamed");
+        let path = dir.join("j.jsonl");
+        let manifest = builtin::smoke();
+        let cell = smoke_cell();
+        assert!(cell.events_jsonl.lines().count() > 1_000, "smoke is traced");
+
+        let journal = Journal::create(&path, &manifest).expect("create");
+        journal.record(3, "gcc", "buddy", manifest.seeds[0], 1, &cell);
+        assert!(journal.io_error().is_none());
+        drop(journal);
+
+        // The reference: the whole line built as one string with
+        // `write_str`, then sealed with `fnv1a` over it.
+        let key = cell_key(manifest_hash(&manifest), 3, manifest.seeds[0]);
+        let mut line = format!(
+            "{{\"key\": \"{key:016x}\", \"cell\": 3, \"attempts\": 1, \
+             \"truncated\": {}, \"run\": ",
+            cell.run.truncated
+        );
+        crate::driver::run_json(
+            &mut line,
+            "gcc",
+            "buddy",
+            manifest.seeds[0],
+            &cell.run.metrics,
+        );
+        line.push_str(", \"events\": ");
+        json::write_str(&mut line, &cell.run.events_jsonl());
+        line.push_str(", \"series\": ");
+        json::write_str(&mut line, &cell.run.series.to_csv());
+        let crc = fnv1a(line.as_bytes());
+        let _ = writeln!(line, ", \"crc\": \"{crc:016x}\"}}");
+
+        let text = std::fs::read_to_string(&path).expect("read journal");
+        let expected = header(&manifest.name, manifest_hash(&manifest)) + &line;
+        assert!(
+            text == expected,
+            "streamed entry differs from the reference"
+        );
     }
 
     #[test]
@@ -457,7 +542,7 @@ mod tests {
         let dir = scratch("large");
         let path = dir.join("j.jsonl");
         let manifest = builtin::smoke();
-        let mut run = smoke_cell();
+        let mut run = smoke_cell().run;
         // Repeat the smoke cell's trace until its `events` text is at least
         // 4 MiB, the size a traced fleet cell journals.
         let once = run.events.clone();
@@ -469,7 +554,9 @@ mod tests {
         assert!(events.len() >= 4 << 20, "only {} bytes", events.len());
 
         let journal = Journal::create(&path, &manifest).expect("create");
-        journal.record(0, "gcc", "buddy", manifest.seeds[0], 1, &run);
+        let cell = FreshCell::new(run);
+        journal.record(0, "gcc", "buddy", manifest.seeds[0], 1, &cell);
+        let run = cell.run;
         assert!(journal.io_error().is_none());
         drop(journal);
 
@@ -493,10 +580,10 @@ mod tests {
         let dir = scratch("tail");
         let path = dir.join("j.jsonl");
         let manifest = builtin::smoke();
-        let run = smoke_cell();
+        let cell = smoke_cell();
 
         let journal = Journal::create(&path, &manifest).expect("create");
-        journal.record(0, "gcc", "buddy", manifest.seeds[0], 1, &run);
+        journal.record(0, "gcc", "buddy", manifest.seeds[0], 1, &cell);
         drop(journal);
         // Simulate a SIGKILL mid-append: a partial second entry.
         let mut text = std::fs::read_to_string(&path).expect("read");
@@ -519,10 +606,10 @@ mod tests {
         let dir = scratch("tamper");
         let path = dir.join("j.jsonl");
         let manifest = builtin::smoke();
-        let run = smoke_cell();
+        let cell = smoke_cell();
 
         let journal = Journal::create(&path, &manifest).expect("create");
-        journal.record(0, "gcc", "buddy", manifest.seeds[0], 1, &run);
+        journal.record(0, "gcc", "buddy", manifest.seeds[0], 1, &cell);
         drop(journal);
 
         // Flip one digit inside the entry's metrics: the line still parses

@@ -52,11 +52,6 @@ pub struct ObservedRun {
 impl ObservedRun {
     /// Trace events as JSON Lines (one object per line).
     pub fn events_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 64);
-        for event in &self.events {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
-        out
+        vmsim_obs::trace::to_jsonl(&self.events)
     }
 }

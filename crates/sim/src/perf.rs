@@ -3,8 +3,8 @@
 //!
 //! Four pinned scenario cells — gcc and mcf under the default and
 //! ptemagnet allocators, fig6 protocol with an objdet co-runner — plus
-//! wall-clock microkernels of the translation core, the PaRT and the JSON
-//! parser. Each cell reports two ledgers:
+//! wall-clock microkernels of the translation core, the PaRT, the JSON
+//! parser and the trace renderer. Each cell reports two ledgers:
 //!
 //! * **deterministic** — cost-model counters (cycles, TLB traffic, memo
 //!   coverage) and the phase profiler's cycle attribution: identical on
@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use vmsim_obs::{json, Event, EventKind, Phase, PhaseProfile, Profiler};
+use vmsim_obs::{json, trace, Event, EventKind, Phase, PhaseProfile, Profiler};
 use vmsim_os::{Machine, MachineConfig, MemoStats};
 use vmsim_types::{GuestFrame, GuestVirtAddr, GROUP_PAGES, PAGE_SIZE};
 use vmsim_workloads::{benchmark, corunner, BenchId, CoId};
@@ -155,8 +155,8 @@ fn median_ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
 
 /// The microkernels: cold full walks, memo-hit replays, a round-robin
 /// touch over an 8-VM multi-tenant host, PaRT take/release throughput
-/// under real threads, lock-free vs globally locked, and the parse of one
-/// traced run-journal entry.
+/// under real threads, lock-free vs globally locked, the parse of one
+/// traced run-journal entry, and the render and validation of its trace.
 pub fn run_kernels() -> Vec<Kernel> {
     let pages = 4096u64;
     let mut out = Vec::new();
@@ -274,15 +274,30 @@ pub fn run_kernels() -> Vec<Kernel> {
         }),
     });
 
+    // trace_render_validate: what a traced cell's trace costs between the
+    // simulation and its artifact: one rendering to JSONL in the pool
+    // worker, then `json::validate` on every line in the artifact writer.
+    let events = kernel_events();
+    out.push(Kernel {
+        name: "trace_render_validate",
+        ns_per_op: median_ns_per_op(10, || {
+            let text = trace::to_jsonl(std::hint::black_box(&events));
+            for line in text.lines() {
+                json::validate(line).expect("a rendered event validates");
+            }
+        }),
+    });
+
     out
 }
 
-/// A fixed run-journal entry line, in the shape `Journal::record` writes,
-/// whose `events` string holds about 1 MiB of rendered trace JSONL.
-fn journal_entry_line() -> String {
-    let mut events = String::with_capacity(1 << 20);
+/// The fixed event stream behind the trace kernels: fault, reservation
+/// and walk events whose JSONL rendering is about 1 MiB.
+fn kernel_events() -> Vec<Event> {
+    let mut events = Vec::new();
+    let mut text = String::with_capacity(1 << 20);
     let mut op = 0u64;
-    while events.len() < 1 << 20 {
+    while text.len() < 1 << 20 {
         let (pid, vpn, gfn) = (1 + op % 4, op * 7, op * 13);
         let kind = match op % 4 {
             0 => EventKind::PageFault {
@@ -299,10 +314,19 @@ fn journal_entry_line() -> String {
                 pwc_hits: 2,
             },
         };
-        events.push_str(&Event { op, kind }.to_json());
-        events.push('\n');
+        let event = Event { op, kind };
+        event.write_json(&mut text);
+        text.push('\n');
+        events.push(event);
         op += 1;
     }
+    events
+}
+
+/// A fixed run-journal entry line, in the shape `Journal::record` writes,
+/// whose `events` string holds [`kernel_events`] rendered as JSONL.
+fn journal_entry_line() -> String {
+    let events = trace::to_jsonl(&kernel_events());
     let mut line = String::from(
         "{\"key\": \"0123456789abcdef\", \"cell\": 0, \"attempts\": 1, \
          \"truncated\": false, \"run\": {\"workload\": \"8 VMs\", \"policy\": \"default\", \
@@ -767,6 +791,7 @@ mod tests {
             .and_then(json::Json::as_str)
             .expect("events");
         assert!(events.len() >= 1 << 20 && events.lines().count() > 10_000);
+        assert_eq!(events, trace::to_jsonl(&kernel_events()));
         assert_eq!(
             doc.get("crc").and_then(json::Json::as_str).map(str::len),
             Some(16)

@@ -29,6 +29,10 @@
 //!   lets the in-flight job finish and persist its journals, answers
 //!   queued-but-unstarted waiters with `deferred` (they recover on the
 //!   next start), and exits 0 within `VMSIM_SERVE_DRAIN_MS`.
+//! * **Prompt accept.** The accept loop waits in `poll(2)` on the
+//!   listener, so a connection is accepted as soon as it arrives. The
+//!   wait times out after 25 ms, which bounds only how long a drain
+//!   request or SIGTERM takes to be noticed.
 //! * **Steady memory.** After each job the executor hands the allocator's
 //!   free pages back to the OS (`malloc_trim` on glibc), so the resident
 //!   set follows what one job needs rather than how many per-thread
@@ -77,7 +81,9 @@ use crate::journal::{self, Journal};
 /// Format version of the admission journal (`serve.jobs.jsonl`).
 const JOBS_VERSION: u64 = 1;
 
-/// How long the accept loop sleeps when no connection is pending.
+/// How long the accept loop waits for a connection before it looks at
+/// the drain and SIGTERM flags again. A pending connection ends the wait
+/// at once, so this bounds only how late a drain is noticed.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// Cadence of `running`/`queued` heartbeat lines to a waiting client.
@@ -94,9 +100,9 @@ static SIGTERM_DRAIN: AtomicBool = AtomicBool::new(false);
 /// Installs a SIGTERM handler that requests a graceful drain.
 ///
 /// The handler only stores into an `AtomicBool` (async-signal-safe); the
-/// accept loop polls the flag. `signal(2)` keeps `SA_RESTART` semantics,
-/// which is why the listener runs nonblocking instead of parking in
-/// `accept`.
+/// accept loop checks the flag. `signal(2)` keeps `SA_RESTART` semantics,
+/// which is why the listener runs nonblocking and the loop waits in
+/// `poll(2)` with a timeout instead of parking in `accept`.
 #[cfg(unix)]
 pub fn install_sigterm_handler() {
     const SIGTERM: i32 = 15;
@@ -425,6 +431,50 @@ impl Listener {
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
     }
+
+    /// Waits until a connection is pending or `timeout` has passed,
+    /// whichever comes first (a signal may also end the wait early).
+    #[cfg(unix)]
+    fn wait_pending(&self, timeout: Duration) {
+        use std::os::fd::AsRawFd;
+        use std::os::raw::{c_int, c_short};
+        #[cfg(target_os = "linux")]
+        type Nfds = std::os::raw::c_ulong;
+        #[cfg(not(target_os = "linux"))]
+        type Nfds = std::os::raw::c_uint;
+        #[repr(C)]
+        struct PollFd {
+            fd: c_int,
+            events: c_short,
+            revents: c_short,
+        }
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+        }
+        const POLLIN: c_short = 1;
+        let fd = match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l, _) => l.as_raw_fd(),
+        };
+        let mut pfd = PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        let millis = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+        // SAFETY: `pfd` is one valid, exclusively borrowed `struct pollfd`
+        // that outlives the call, and `nfds` is 1. The listener owns `fd`,
+        // so it stays open for the duration. The result only tells why the
+        // wait ended, which the accept that follows finds out anyway.
+        unsafe {
+            poll(&mut pfd, 1, millis);
+        }
+    }
+
+    #[cfg(not(unix))]
+    fn wait_pending(&self, timeout: Duration) {
+        std::thread::sleep(timeout);
+    }
 }
 
 /// A resident job server bound to its listen address, executor running.
@@ -593,7 +643,7 @@ impl Server {
                         .spawn(move || handle_conn(&shared, stream));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+                    self.listener.wait_pending(ACCEPT_POLL);
                 }
                 Err(_) => std::thread::sleep(ACCEPT_POLL),
             }

@@ -158,7 +158,7 @@ fn golden_fleet_manifest() -> vmsim_config::ExperimentManifest {
 #[test]
 fn fleet_artifacts_match_their_golden_digests() {
     let run = run_manifest(&golden_fleet_manifest()).expect("fleet manifest runs");
-    let trace: Vec<String> = run
+    let trace: Vec<&str> = run
         .cells
         .iter()
         .map(|c| c.events_jsonl().expect("cell completed"))

@@ -76,8 +76,16 @@ fn golden() -> &'static Golden {
             journal_bytes: std::fs::read(&jpath).expect("read journal"),
             results_json: clean.results_json(),
             report: clean.report(),
-            traces: clean.cells.iter().map(|c| c.events_jsonl()).collect(),
-            series: clean.cells.iter().map(|c| c.series_csv()).collect(),
+            traces: clean
+                .cells
+                .iter()
+                .map(|c| c.events_jsonl().map(str::to_owned))
+                .collect(),
+            series: clean
+                .cells
+                .iter()
+                .map(|c| c.series_csv().map(str::to_owned))
+                .collect(),
         }
     })
 }
@@ -88,8 +96,16 @@ fn assert_byte_identical(run: &ManifestRun, g: &Golden) {
     assert_eq!(run.results_json(), g.results_json, "results JSON diverged");
     assert_eq!(run.report(), g.report, "report text diverged");
     for (i, cell) in run.cells.iter().enumerate() {
-        assert_eq!(cell.events_jsonl(), g.traces[i], "trace artifact {i}");
-        assert_eq!(cell.series_csv(), g.series[i], "series artifact {i}");
+        assert_eq!(
+            cell.events_jsonl(),
+            g.traces[i].as_deref(),
+            "trace artifact {i}"
+        );
+        assert_eq!(
+            cell.series_csv(),
+            g.series[i].as_deref(),
+            "series artifact {i}"
+        );
     }
 }
 

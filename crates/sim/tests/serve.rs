@@ -324,6 +324,29 @@ fn health_and_status_expose_the_serve_gauge_group() {
     assert_eq!(run.drain(), 0);
 }
 
+/// The accept loop wakes as soon as a connection is pending: 40 sequential
+/// `health` round trips take far less than 40 accept-poll timeouts
+/// (40 × 25 ms = 1 s).
+#[test]
+fn sequential_health_round_trips_do_not_wait_for_the_accept_poll() {
+    let out = scratch("acceptlatency");
+    let run = start(&config(&out, 8));
+    // One round trip first, so the accept loop is running when timing starts.
+    assert!(request_line(&run.addr, "{\"op\": \"health\"}").contains("ready"));
+
+    let start = Instant::now();
+    for _ in 0..40 {
+        let health = request_line(&run.addr, "{\"op\": \"health\"}");
+        assert!(health.contains("ready"), "health answer: {health}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "40 health round trips took {elapsed:?}"
+    );
+    assert_eq!(run.drain(), 0);
+}
+
 /// A torn final write in the admission journal (the tail a `kill -9`
 /// leaves mid-append) is repaired on startup: the file is rewritten as
 /// its clean parsed prefix before appending resumes, so the `done` entry
