@@ -7,6 +7,8 @@
 use serde::{Deserialize, Serialize};
 use vmsim_types::CACHE_LINE_SIZE;
 
+use crate::set_assoc::valid_shape;
+
 /// Geometry of one set-associative cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
@@ -25,13 +27,30 @@ impl CacheConfig {
     ///
     /// Panics if the implied set count is zero or not a power of two.
     pub fn from_capacity(bytes: u64, ways: usize) -> Self {
-        let sets = (bytes / CACHE_LINE_SIZE / ways as u64) as usize;
-        assert!(sets > 0 && sets.is_power_of_two(), "bad cache geometry");
+        let config = Self::sized(bytes, ways);
+        assert!(config.is_valid(), "bad cache geometry");
+        config
+    }
+
+    /// The geometry of a `bytes`-byte, `ways`-way cache, built or not:
+    /// [`CacheConfig::is_valid`] says whether a cache can have it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero.
+    pub fn sized(bytes: u64, ways: usize) -> Self {
         Self {
-            sets,
+            sets: (bytes / CACHE_LINE_SIZE / ways as u64) as usize,
             ways,
             line_size: CACHE_LINE_SIZE,
         }
+    }
+
+    /// Whether a [`SetAssoc`](crate::SetAssoc) array can have this
+    /// geometry (see [`valid_shape`]).
+    #[must_use]
+    pub fn is_valid(&self) -> bool {
+        valid_shape(self.sets, self.ways)
     }
 
     /// Total capacity in bytes.
@@ -81,6 +100,16 @@ pub struct TlbConfig {
     pub l2_ways: usize,
 }
 
+impl TlbConfig {
+    /// Whether [`Tlb::new`](crate::Tlb::new) accepts this geometry: each
+    /// level's set count (`entries / ways`) passes [`valid_shape`].
+    #[must_use]
+    pub fn is_valid(&self) -> bool {
+        let level = |entries: usize, ways: usize| ways > 0 && valid_shape(entries / ways, ways);
+        level(self.l1_entries, self.l1_ways) && level(self.l2_entries, self.l2_ways)
+    }
+}
+
 impl Default for TlbConfig {
     fn default() -> Self {
         Self {
@@ -101,6 +130,19 @@ pub struct PwcConfig {
     pub nested_tlb_entries: usize,
     /// Associativity of both structures.
     pub ways: usize,
+}
+
+impl PwcConfig {
+    /// Whether [`PageWalkCaches::new`](crate::PageWalkCaches::new) accepts
+    /// this geometry: each structure's set count (`entries / ways`, at
+    /// least 1) passes [`valid_shape`].
+    #[must_use]
+    pub fn is_valid(&self) -> bool {
+        let sets = |entries: usize| (entries / self.ways).max(1);
+        self.ways > 0
+            && valid_shape(sets(self.guest_entries), self.ways)
+            && valid_shape(sets(self.nested_tlb_entries), self.ways)
+    }
 }
 
 impl Default for PwcConfig {
@@ -131,12 +173,7 @@ pub struct HierarchyConfig {
 impl HierarchyConfig {
     /// The paper's Broadwell Xeon E5-2630v4 configuration with `cores`
     /// simulated cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
     pub fn broadwell(cores: usize) -> Self {
-        assert!(cores > 0, "need at least one core");
         Self {
             cores,
             l1: CacheConfig::from_capacity(32 * 1024, 8),

@@ -59,7 +59,13 @@ pub struct CacheHierarchy {
 
 impl CacheHierarchy {
     /// Builds the hierarchy described by `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has no cores, or a level's geometry is not
+    /// [`CacheConfig::is_valid`](crate::CacheConfig::is_valid).
     pub fn new(config: HierarchyConfig) -> Self {
+        assert!(config.cores > 0, "need at least one core");
         Self {
             cores: (0..config.cores)
                 .map(|_| CoreCaches {

@@ -52,6 +52,13 @@ pub struct SetAssoc<V> {
     set_epochs: Vec<u64>,
 }
 
+/// Whether [`SetAssoc::new`] accepts `sets` sets of `ways` ways: a
+/// nonzero power-of-two set count and at least one way.
+#[must_use]
+pub const fn valid_shape(sets: usize, ways: usize) -> bool {
+    sets.is_power_of_two() && ways > 0
+}
+
 impl<V> SetAssoc<V> {
     /// Creates an array with `sets` sets of `ways` ways each.
     ///

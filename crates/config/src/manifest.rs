@@ -33,7 +33,8 @@ pub struct ManifestError {
 }
 
 impl ManifestError {
-    fn new(context: impl Into<String>, message: impl Into<String>) -> Self {
+    /// An error at `context` (a JSON path) saying `message`.
+    pub fn new(context: impl Into<String>, message: impl Into<String>) -> Self {
         Self {
             context: context.into(),
             message: message.into(),
@@ -109,13 +110,15 @@ impl SimConfig {
     }
 
     /// Resolves the spec to a concrete [`vmsim_os::MachineConfig`],
-    /// starting from the paper platform with `default_cores` cores.
+    /// starting from the paper platform with `default_cores` cores. Any
+    /// knob value resolves; [`vmsim_os::MachineConfig::check`] says whether
+    /// a machine can be built from the result.
     pub fn to_machine_config(&self, default_cores: usize) -> vmsim_os::MachineConfig {
         let cores = self.cores.unwrap_or(default_cores);
         let guest_mb = self.guest_mb.unwrap_or(1024);
         let mut config = vmsim_os::MachineConfig::paper(cores, guest_mb);
         if let Some(mb) = self.llc_mb {
-            config.hierarchy.llc = vmsim_cache::CacheConfig::from_capacity(mb * 1024 * 1024, 16);
+            config.hierarchy.llc = vmsim_cache::CacheConfig::sized(mb.saturating_mul(1 << 20), 16);
         }
         if let Some(entries) = self.stlb_entries {
             config.tlb.l2_entries = entries;

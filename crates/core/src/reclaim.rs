@@ -54,17 +54,10 @@ impl ReclaimDaemon {
     /// the threshold, drains reservations until `restore_to` is reached or
     /// no reserved-unused memory remains. Returns frames reclaimed.
     pub fn run(&self, guest: &mut GuestOs) -> u64 {
-        if guest.buddy().free_fraction() >= self.threshold {
-            return 0;
+        match guest.reclaim_target(self.threshold, self.restore_to) {
+            0 => 0,
+            target => guest.reclaim_reservations(target),
         }
-        let total = guest.buddy().total_frames();
-        let want_free = (self.restore_to * total as f64) as u64;
-        let have_free = guest.buddy().free_frames();
-        let target = want_free.saturating_sub(have_free);
-        if target == 0 {
-            return 0;
-        }
-        guest.reclaim_reservations(target)
     }
 }
 

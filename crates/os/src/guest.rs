@@ -749,11 +749,30 @@ impl GuestOs {
         self.allocator.reclaim(&mut self.buddy, target_frames)
     }
 
+    /// The §4.3 daemon's watermark target: the frames a pass must free to
+    /// lift free memory back to `restore_to` of the guest, or 0 while the
+    /// free fraction is at or above `threshold`.
+    #[must_use]
+    pub fn reclaim_target(&self, threshold: f64, restore_to: f64) -> u64 {
+        if self.buddy.free_fraction() >= threshold {
+            return 0;
+        }
+        let want = (restore_to * self.buddy.total_frames() as f64) as u64;
+        want.saturating_sub(self.buddy.free_frames())
+    }
+
     /// Notifies the allocator that the OS targeted `gfn` for swap or
     /// compaction (§4.4): a covering reservation, if any, is reclaimed.
     /// Returns the number of frames released to the buddy allocator.
     pub fn swap_target(&mut self, gfn: GuestFrame) -> u64 {
         self.allocator.on_frame_targeted(gfn, &mut self.buddy)
+    }
+
+    /// Whether [`GuestOs::hold_fragmenting_pattern`] accepts `run_length`:
+    /// a nonzero power of two.
+    #[must_use]
+    pub fn valid_run_length(run_length: u64) -> bool {
+        run_length.is_power_of_two()
     }
 
     /// Artificially fragments free physical memory: allocates everything,
@@ -768,7 +787,7 @@ impl GuestOs {
     /// Panics if `run_length` is zero or not a power of two.
     pub fn hold_fragmenting_pattern(&mut self, run_length: u64) -> Vec<GuestFrame> {
         assert!(
-            run_length > 0 && run_length.is_power_of_two(),
+            Self::valid_run_length(run_length),
             "run length must be a power of two"
         );
         let mut taken = Vec::new();

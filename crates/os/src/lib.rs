@@ -50,6 +50,6 @@ pub use guest::{
     GuestOs, OS_POLICY_NAMES,
 };
 pub use host::HostOs;
-pub use machine::{Machine, MachineConfig, MemoStats, TouchOutcome};
+pub use machine::{Machine, MachineConfig, MemoStats, ShapeError, TouchOutcome};
 pub use process::{Pid, Process};
 pub use vma::{Vma, VmaSet};

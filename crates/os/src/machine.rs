@@ -49,6 +49,13 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
+    /// Most cores one machine simulates.
+    pub const MAX_CORES: usize = 64;
+
+    /// Most simulated memory one machine holds, in frames: the guest frames
+    /// of every VM plus the host pool (2^26 frames, 256 GiB).
+    pub const MAX_FRAMES: u64 = 1 << 26;
+
     /// A small configuration for unit tests and examples: 64 MB guest RAM,
     /// tiny caches, 2 cores.
     pub fn small() -> Self {
@@ -66,12 +73,13 @@ impl MachineConfig {
     /// A scaled-down version of the paper's platform (Table 2): Broadwell
     /// cache geometry with `cores` cores and `guest_mb` of VM RAM (the
     /// evaluation scales the paper's 64 GB VM by keeping the ratio of
-    /// workload footprint to LLC capacity in the same regime).
+    /// workload footprint to LLC capacity in the same regime). Sizes past
+    /// `u64` saturate; [`MachineConfig::check`] rejects them.
     pub fn paper(cores: usize, guest_mb: u64) -> Self {
-        let guest_frames = guest_mb * 256; // 256 pages per MB
+        let guest_frames = guest_mb.saturating_mul(256); // 256 pages per MB
         Self {
             guest_frames,
-            host_frames: guest_frames * 2,
+            host_frames: guest_frames.saturating_mul(2),
             vm_base: 1 << 24,
             hierarchy: HierarchyConfig::broadwell(cores),
             tlb: TlbConfig::default(),
@@ -79,7 +87,98 @@ impl MachineConfig {
             cost: CostModel::default(),
         }
     }
+
+    /// Checks the shape a [`Machine`] of `vms` guest VMs needs, the rules
+    /// its constructors assert: 1..=[`MachineConfig::MAX_CORES`] cores,
+    /// every cache, TLB and walk-cache level with a power-of-two set count,
+    /// at least one guest and one host frame, and at most
+    /// [`MachineConfig::MAX_FRAMES`] frames of simulated memory in all.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule the configuration breaks.
+    pub fn check(&self, vms: usize) -> core::result::Result<(), ShapeError> {
+        let cores = self.hierarchy.cores;
+        if cores == 0 || cores > Self::MAX_CORES {
+            return Err(ShapeError::Cores(cores));
+        }
+        let caches = [
+            ("L1", self.hierarchy.l1),
+            ("L2", self.hierarchy.l2),
+            ("LLC", self.hierarchy.llc),
+        ];
+        if let Some((level, _)) = caches.iter().find(|(_, c)| !c.is_valid()) {
+            return Err(ShapeError::Cache(level));
+        }
+        if !self.tlb.is_valid() {
+            return Err(ShapeError::Tlb);
+        }
+        if !self.pwc.is_valid() {
+            return Err(ShapeError::WalkCaches);
+        }
+        if self.guest_frames == 0 || self.host_frames == 0 {
+            return Err(ShapeError::NoFrames);
+        }
+        let frames = (vms as u64)
+            .saturating_mul(self.guest_frames)
+            .saturating_add(self.host_frames);
+        if frames > Self::MAX_FRAMES {
+            return Err(ShapeError::Memory(frames));
+        }
+        Ok(())
+    }
 }
+
+/// A rule of [`MachineConfig::check`] that a configuration breaks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShapeError {
+    /// The core count is zero or above [`MachineConfig::MAX_CORES`].
+    Cores(usize),
+    /// The named cache level's set count is zero or not a power of two.
+    Cache(&'static str),
+    /// A TLB level's set count is zero or not a power of two.
+    Tlb,
+    /// A page-walk cache's or the nested TLB's set count is not a power of
+    /// two.
+    WalkCaches,
+    /// The guest or the host has no frames.
+    NoFrames,
+    /// This many frames of simulated memory exceed
+    /// [`MachineConfig::MAX_FRAMES`].
+    Memory(u64),
+}
+
+impl core::fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            Self::Cores(n) => write!(
+                f,
+                "{n} cores: a machine has 1..={} cores",
+                MachineConfig::MAX_CORES
+            ),
+            Self::Cache(level) => write!(
+                f,
+                "bad cache geometry: the {level} set count must be a power of two"
+            ),
+            Self::Tlb => f.write_str(
+                "bad TLB geometry: each level's set count (entries / ways) must be a power of two",
+            ),
+            Self::WalkCaches => f.write_str(
+                "bad walk-cache geometry: each page-walk cache's and the nested TLB's set count \
+                 (entries / ways) must be a power of two",
+            ),
+            Self::NoFrames => f.write_str("a machine needs at least one guest and one host frame"),
+            Self::Memory(frames) => write!(
+                f,
+                "{frames} frames of simulated memory (every VM's guest frames plus the host pool) \
+                 exceed the cap of {} frames",
+                MachineConfig::MAX_FRAMES
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ShapeError {}
 
 /// Outcome of one [`Machine::touch`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -316,7 +415,14 @@ impl Machine {
 
     /// Builds a machine with a custom guest frame allocator (PTEMagnet plugs
     /// in here).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`MachineConfig::check`].
     pub fn with_allocator(config: MachineConfig, allocator: Box<dyn GuestFrameAllocator>) -> Self {
+        if let Err(e) = config.check(1) {
+            panic!("invalid machine config: {e}");
+        }
         let cores = config.hierarchy.cores;
         Self {
             vms: vec![GuestVm::new(
@@ -364,13 +470,17 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if `vm_count` is zero.
+    /// Panics if `vm_count` is zero or `config` fails
+    /// [`MachineConfig::check`] for `vm_count` VMs.
     pub fn multi_tenant(
         config: MachineConfig,
         vm_count: usize,
         factory: impl Fn(usize) -> Box<dyn GuestFrameAllocator> + 'static,
     ) -> Self {
         assert!(vm_count > 0, "a host needs at least one VM");
+        if let Err(e) = config.check(vm_count) {
+            panic!("invalid machine config: {e}");
+        }
         let mut machine = Self::with_allocator(config, factory(0));
         for vm in 1..vm_count {
             machine.vms.push(GuestVm::new(
@@ -1137,20 +1247,15 @@ impl Machine {
             }
         }
         if let Some(threshold) = driver.plan.daemon_threshold {
-            if self.vms[0].guest.buddy().free_fraction() < threshold {
-                // The §4.3 daemon: restore free memory to the high
-                // watermark by draining reserved-unused frames.
-                let restore_to = driver.plan.daemon_restore_to.unwrap_or(threshold);
-                let total = self.vms[0].guest.buddy().total_frames();
-                let have = self.vms[0].guest.buddy().free_frames();
-                let want = (restore_to * total as f64) as u64;
-                let target = want.saturating_sub(have);
-                if target > 0 {
-                    let freed = self.reclaim_reservations(target);
-                    driver.daemon_passes += 1;
-                    driver.reclaimed_frames += freed;
-                    fired = true;
-                }
+            // The §4.3 daemon: restore free memory to the high watermark
+            // by draining reserved-unused frames.
+            let restore_to = driver.plan.daemon_restore_to.unwrap_or(threshold);
+            let target = self.vms[0].guest.reclaim_target(threshold, restore_to);
+            if target > 0 {
+                let freed = self.reclaim_reservations(target);
+                driver.daemon_passes += 1;
+                driver.reclaimed_frames += freed;
+                fired = true;
             }
         }
         self.faults = Some(driver);

@@ -9,9 +9,11 @@
 //! (`index = (w·P + p)·S + s`); jobs run on the deterministic pool
 //! ([`crate::parallel`]) and come back in job order, so a run is
 //! bit-identical at any worker count and to the same cells run serially.
-//! The two special kinds run their own loops here: [`sec64`] (the §6.4
-//! allocation-latency microbenchmark) and [`walk_breakdown`] (raw
-//! per-level counter capture).
+//! The two special kinds are assembled here: [`sec64`] (the §6.4
+//! allocation-latency microbenchmark, a first-touch loop on a bare
+//! machine) and [`walk_breakdown`] (two [`Scenario`] runs whose primary
+//! core's per-level counters are the result; the objdet co-runner is
+//! seeded `seed·31 + 1`, the scenario rule).
 //!
 //! Each cell runs inside its own `catch_unwind`: a panicking or resource-
 //! exhausted cell is **quarantined** — recorded as a [`CellRun`] carrying
@@ -37,16 +39,16 @@ use ptemagnet::UnknownPolicy;
 use vmsim_cache::MemCounters;
 use vmsim_config::{
     ChaosPlan, ExperimentManifest, ExperimentSpec, ManifestError, MatrixSpec, PolicySpec,
-    ReportKind, SupervisorSpec, WorkloadSpec,
+    ReportKind, SimConfig, SupervisorSpec, WorkloadSpec,
 };
 use vmsim_obs::{json, Event, EventKind, Metric, MetricSource};
-use vmsim_os::{GuestOs, Machine, MachineConfig};
+use vmsim_os::{GuestOs, Machine, MachineConfig, ShapeError};
 use vmsim_types::{GuestVirtAddr, GuestVirtPage, MemError, RunError, PAGE_SIZE};
 use vmsim_workloads::{BenchId, CoId};
 
-use crate::engine::Colocation;
+use crate::fleet;
 use crate::journal::{self, Journal, JournalEntry};
-use crate::obs::ObservedRun;
+use crate::obs::{ObsConfig, ObservedRun};
 use crate::parallel::{self, Parallelism};
 use crate::progress::Progress;
 use crate::report::{
@@ -412,22 +414,79 @@ pub fn build_scenario(
 }
 
 /// Checks that a manifest can run, before anything acts on it: the shape
-/// checks of [`ExperimentManifest::validate`], plus every matrix policy
-/// resolving through the registry. `vmsim run` calls this before it opens
-/// (and truncates) the run journal, and `vmsim serve` before it admits a
-/// job.
+/// checks of [`ExperimentManifest::validate`], every matrix policy
+/// resolving through the registry, and every machine a cell would build
+/// passing [`MachineConfig::check`] (with each workload's
+/// `prefragment_run` a length [`GuestOs::valid_run_length`] accepts).
+/// `vmsim run` calls this before it opens (and truncates) the run journal,
+/// and `vmsim serve` before it admits a job.
 ///
 /// # Errors
 ///
 /// Returns [`DriverError`] for the first invalid field or unknown policy.
 pub fn preflight(manifest: &ExperimentManifest) -> Result<(), DriverError> {
     manifest.validate()?;
-    if let ExperimentSpec::Matrix(matrix) = &manifest.experiment {
-        for policy in &matrix.policies {
-            ptemagnet::registry::resolve(policy.name())?;
+    match &manifest.experiment {
+        ExperimentSpec::Matrix(matrix) => {
+            for policy in &matrix.policies {
+                ptemagnet::registry::resolve(policy.name())?;
+            }
+            for (i, workload) in matrix.workloads.iter().enumerate() {
+                if workload
+                    .prefragment_run
+                    .is_some_and(|run| !GuestOs::valid_run_length(run))
+                {
+                    return Err(ManifestError::new(
+                        format!("$.experiment.workloads[{i}].prefragment_run"),
+                        "run length must be a power of two",
+                    )
+                    .into());
+                }
+                let scenario =
+                    build_scenario(manifest, workload, &matrix.policies[0], manifest.seeds[0])?;
+                let (config, vms) = scenario.host_shape();
+                config
+                    .check(vms.as_ref().map_or(1, fleet::vm_count))
+                    .map_err(|e| {
+                        let path = sim_path(manifest.sim.as_ref(), workload.sim.as_ref(), i, e);
+                        ManifestError::new(path, e.to_string())
+                    })?;
+            }
         }
+        ExperimentSpec::AllocLatency { pages } => {
+            sec64_machine(*pages)
+                .map_err(|e| ManifestError::new("$.experiment.pages", e.to_string()))?;
+        }
+        ExperimentSpec::WalkBreakdown => {}
     }
     Ok(())
+}
+
+/// The manifest path of the `sim` knob behind a machine of workload `i`
+/// that breaks `rule`: the workload's own `sim` override, else the
+/// manifest-wide `sim` value, else (the knob is at its default) the
+/// workload itself.
+fn sim_path(
+    manifest_sim: Option<&SimConfig>,
+    workload_sim: Option<&SimConfig>,
+    i: usize,
+    rule: ShapeError,
+) -> String {
+    let (knob, set): (&str, fn(&SimConfig) -> bool) = match rule {
+        ShapeError::Cores(_) => ("cores", |s| s.cores.is_some()),
+        ShapeError::Cache(_) => ("llc_mb", |s| s.llc_mb.is_some()),
+        ShapeError::Tlb => ("stlb_entries", |s| s.stlb_entries.is_some()),
+        ShapeError::WalkCaches => ("nested_tlb_entries", |s| s.nested_tlb_entries.is_some()),
+        ShapeError::NoFrames | ShapeError::Memory(_) => ("guest_mb", |s| s.guest_mb.is_some()),
+    };
+    let workload = format!("$.experiment.workloads[{i}]");
+    if workload_sim.is_some_and(set) {
+        format!("{workload}.sim.{knob}")
+    } else if manifest_sim.is_some_and(set) {
+        format!("$.sim.{knob}")
+    } else {
+        workload
+    }
 }
 
 /// Validates and executes a manifest with no journal and no chaos drill.
@@ -594,11 +653,10 @@ fn run_cell(
             let scenario =
                 build_scenario(manifest, workload, policy, seed).expect("manifest pre-validated");
             match sup.progress {
-                Some(progress) => scenario.try_run_supervised_with_progress(
+                Some(progress) => scenario.try_run(
                     manifest.obs,
                     budget,
-                    progress.heartbeat_ops(),
-                    &mut |pulse| {
+                    Some((progress.heartbeat_ops(), &mut |pulse| {
                         progress.heartbeat(
                             i as u64,
                             &label,
@@ -607,9 +665,9 @@ fn run_cell(
                             attempt + 1,
                             &pulse,
                         );
-                    },
+                    })),
                 ),
-                None => scenario.try_run_supervised(manifest.obs, budget),
+                None => scenario.try_run(manifest.obs, budget, None),
             }
         }));
         last = Some(match outcome {
@@ -952,7 +1010,9 @@ fn sparse_rss(policies: &[PolicySpec]) -> [f64; 3] {
         }
         m.guest().process(pid).expect("pid").rss_pages as f64 / touched as f64
     };
-    let values = parallel::map_indexed(Parallelism::from_env(), policies, sparse);
+    let values = parallel::run_indexed(Parallelism::from_env(), policies.len(), |i| {
+        sparse(&policies[i])
+    });
     [values[0], values[1], values[2]]
 }
 
@@ -975,19 +1035,31 @@ fn sec62_adversarial() -> String {
     )
 }
 
+/// The §6.4 VM for an array of `pages`: room for the array plus page
+/// tables (8 frames a page, at least 64 MB).
+///
+/// # Errors
+///
+/// Returns the [`MachineConfig::check`] rule that VM breaks.
+fn sec64_machine(pages: u64) -> Result<MachineConfig, ShapeError> {
+    let guest_mb = pages.checked_mul(8).map_or(u64::MAX, |frames| frames / 256);
+    let config = MachineConfig::paper(1, guest_mb.max(64));
+    config.check(1)?;
+    Ok(config)
+}
+
 /// The §6.4 allocation-latency microbenchmark: allocate an array of
 /// `pages` and first-touch every page once, with and without PTEMagnet.
 /// (The paper uses a 60 GB array; `pages` scales it to the simulated VM.)
 ///
 /// # Panics
 ///
-/// Panics if `pages` is zero.
+/// Panics if `pages` is zero or its VM exceeds
+/// [`MachineConfig::MAX_FRAMES`].
 pub fn sec64(pages: u64) -> AllocLatency {
     assert!(pages > 0);
+    let config = sec64_machine(pages).expect("array fits the simulated memory cap");
     let run = |kind: AllocatorKind| -> u64 {
-        // Size the VM to hold the array plus page tables comfortably.
-        let guest_mb = (pages * 8 / 256).max(64);
-        let config = MachineConfig::paper(1, guest_mb);
         let mut m = Machine::with_allocator(config, kind.build());
         let pid = m.guest_mut().spawn();
         let base = m.guest_mut().mmap(pid, pages).expect("VM sized to fit");
@@ -999,7 +1071,7 @@ pub fn sec64(pages: u64) -> AllocLatency {
         cycles
     };
     let kinds = [AllocatorKind::Default, AllocatorKind::PteMagnet];
-    let mut cycles = parallel::map_indexed(Parallelism::from_env(), &kinds, |&kind| run(kind));
+    let mut cycles = parallel::run_indexed(Parallelism::from_env(), kinds.len(), |i| run(kinds[i]));
     let ptemagnet_cycles = cycles.pop().expect("two runs");
     let default_cycles = cycles.pop().expect("two runs");
     AllocLatency {
@@ -1015,26 +1087,21 @@ pub fn sec64(pages: u64) -> AllocLatency {
 ///
 /// Guest-PT accesses are served close to the core at every level; host-PT
 /// *leaf* (level 3) accesses are the ones fragmentation pushes out to
-/// LLC/DRAM, and PTEMagnet pulls them back in. The co-runner seed is
-/// `seed + 1`, not the scenario engine's derivation.
+/// LLC/DRAM, and PTEMagnet pulls them back in. Each policy is one
+/// [`Scenario`] run (objdet at weight 4, seeded `seed·31 + 1` like every
+/// scenario co-runner) on the default `paper(2, 1024)` machine; the rows
+/// are the primary core's counters over the measured phase.
 pub fn walk_breakdown(seed: u64, measure_ops: u64) -> Vec<(String, MemCounters)> {
     let kinds = [AllocatorKind::Default, AllocatorKind::PteMagnet];
-    parallel::map_indexed(Parallelism::from_env(), &kinds, |&kind| {
-        let machine = Machine::with_allocator(MachineConfig::paper(2, 1024), kind.build());
-        let mut colo = Colocation::new(machine);
-        let primary = colo.add_app(
-            Box::new(vmsim_workloads::benchmark(BenchId::Pagerank, seed)),
-            1,
-        );
-        colo.add_app(vmsim_workloads::corunner(CoId::Objdet, seed + 1), 4);
-        colo.run_until_steady(primary).expect("init");
-        colo.machine_mut().reset_measurement();
-        colo.run_ops(primary, measure_ops, |_| {}).expect("measure");
-        let core = colo.core(primary);
-        (
-            kind.name().to_string(),
-            *colo.machine().caches().core_counters(core),
-        )
+    parallel::run_indexed(Parallelism::from_env(), kinds.len(), |i| {
+        let run = Scenario::new(BenchId::Pagerank)
+            .corunners(&[CoId::Objdet])
+            .corunner_weight(4)
+            .allocator(kinds[i])
+            .measure_ops(measure_ops)
+            .seed(seed)
+            .run_observed(ObsConfig::disabled());
+        (kinds[i].name().to_string(), *run.counters)
     })
 }
 

@@ -58,7 +58,8 @@ pub(crate) fn vm_count(spec: &VmsSpec) -> usize {
 /// `config.host_frames`, which is twice the guest for paper configs.
 pub(crate) fn host_frames(fleet: Option<&VmsSpec>, config: &MachineConfig) -> u64 {
     fleet.map_or(config.host_frames, |spec| {
-        ((vm_count(spec) as u64 * config.guest_frames) as f64 / spec.overcommit).floor() as u64
+        let guest_frames = (vm_count(spec) as u64).saturating_mul(config.guest_frames);
+        (guest_frames as f64 / spec.overcommit).floor() as u64
     })
 }
 
@@ -222,7 +223,7 @@ mod tests {
     use vmsim_workloads::BenchId;
 
     use crate::obs::ObsConfig;
-    use crate::scenario::Scenario;
+    use crate::scenario::{CellBudget, Scenario};
 
     /// A small fleet that runs in well under a second.
     fn fleet(spec: VmsSpec) -> Scenario {
@@ -338,7 +339,7 @@ mod tests {
             churn_kills: 1,
             balloon_watermark: Some(0.12),
         })
-        .try_run_observed(ObsConfig::enabled(1_000))
+        .try_run(ObsConfig::enabled(1_000), CellBudget::unlimited(), None)
         .expect("pressured fleet still completes");
         let ballooned: u64 = (1..3)
             .filter_map(|vm| {

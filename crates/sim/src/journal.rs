@@ -464,7 +464,7 @@ mod tests {
             manifest.seeds[0],
         )
         .expect("smoke scenario")
-        .try_run_observed(manifest.obs)
+        .try_run(manifest.obs, crate::scenario::CellBudget::unlimited(), None)
         .expect("smoke run");
         FreshCell::new(run)
     }

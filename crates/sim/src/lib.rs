@@ -15,7 +15,8 @@
 //! * [`scenario`] — declarative description of one run (benchmark,
 //!   co-runners, allocator, co-runner stop protocol, measurement length,
 //!   tenancy) and the one run loop that executes it, single guest or
-//!   fleet;
+//!   fleet — manifest cells, `vmsim perf` cells and the walk breakdown
+//!   alike;
 //! * [`driver`] — the manifest execution engine: expands a
 //!   `vmsim_config::ExperimentManifest` into scenario runs on the worker
 //!   pool and assembles the typed, paper-shaped outcome. Every experiment

@@ -3,15 +3,17 @@
 //! [`RunMetrics`] stays exactly what it always was — the
 //! end-of-run aggregates whose bit-identity the determinism tests assert.
 //! Everything the observability layer adds (final registry snapshot, epoch
-//! time series, event trace, merged latency histograms) lives alongside it
-//! in [`ObservedRun`], so enabling observability can never change a metric.
+//! time series, event trace, memo and per-level cache counters, phase
+//! profile) lives alongside it in [`ObservedRun`], so enabling
+//! observability can never change a metric.
 //!
 //! The configuration type moved to `vmsim-config` so manifests can carry
 //! it; the strict environment knobs (`VMSIM_TRACE`, `VMSIM_EPOCH_OPS`) are
 //! parsed by `vmsim_config::env`, the single parsing point.
 
-use vmsim_cache::Histogram;
+use vmsim_cache::MemCounters;
 use vmsim_obs::{Event, PhaseProfile, Snapshot, TimeSeries};
+use vmsim_os::MemoStats;
 
 pub use vmsim_config::ObsConfig;
 
@@ -34,12 +36,14 @@ pub struct ObservedRun {
     pub events: Vec<Event>,
     /// Events evicted from the ring because it was full.
     pub trace_dropped: u64,
-    /// Nested-walk latency distribution, merged across cores, for the
-    /// measured phase.
-    pub walk_latency: Histogram,
-    /// Fault-service latency distribution, merged across cores, for the
-    /// measured phase.
-    pub fault_latency: Histogram,
+    /// Memo-layer counter deltas over the measured phase, machine-wide.
+    pub memo: MemoStats,
+    /// The primary app's core counters over the measured phase: the
+    /// per-level hit sources of its data and page-walk accesses. Boxed
+    /// because they are 624 bytes: inline, they pushed a served job's
+    /// boxed cells out of glibc's small size classes, and `vmsim serve`'s
+    /// peak RSS rose by about a sixth.
+    pub counters: Box<MemCounters>,
     /// Phase-attributed self-profile of the measured phase (present when
     /// [`ObsConfig::profile`] is set; wall numbers are nondeterministic,
     /// the cycle ledger is deterministic).

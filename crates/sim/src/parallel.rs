@@ -177,17 +177,6 @@ where
         .collect()
 }
 
-/// Maps `f` over `items` with the pool, preserving item order. Convenience
-/// wrapper over [`run_indexed`] for experiment job lists.
-pub fn map_indexed<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_indexed(parallelism, items.len(), |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,13 +203,6 @@ mod tests {
     fn zero_jobs_is_empty() {
         let out: Vec<u32> = run_indexed(Parallelism::Auto, 0, |_| unreachable!());
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn map_indexed_preserves_order() {
-        let items = vec!["a", "bb", "ccc"];
-        let lens = map_indexed(Parallelism::Threads(2), &items, |s| s.len());
-        assert_eq!(lens, vec![1, 2, 3]);
     }
 
     #[test]

@@ -25,12 +25,13 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use vmsim_obs::{json, trace, Event, EventKind, Phase, PhaseProfile, Profiler};
+use vmsim_obs::{json, trace, Event, EventKind, Phase, PhaseProfile};
 use vmsim_os::{Machine, MachineConfig, MemoStats};
 use vmsim_types::{GuestFrame, GuestVirtAddr, GROUP_PAGES, PAGE_SIZE};
-use vmsim_workloads::{benchmark, corunner, BenchId, CoId};
+use vmsim_workloads::{BenchId, CoId};
 
-use crate::engine::Colocation;
+use crate::obs::ObsConfig;
+use crate::scenario::Scenario;
 
 /// Measured steady-state ops per cell. Deliberately small: an entry must
 /// regenerate in seconds, and the deterministic counters are exact at any
@@ -84,44 +85,26 @@ pub struct Kernel {
     pub ns_per_op: f64,
 }
 
+/// Runs one tracked cell: the fig6 protocol through [`Scenario`], with the
+/// phase profiler on over the measured phase.
 fn run_cell(bench: BenchId, alloc: &'static str) -> PerfCell {
-    let allocator = ptemagnet::registry::resolve(alloc).expect("tracked allocators are registered");
-    let machine = Machine::with_allocator(MachineConfig::paper(2, 1024), allocator);
-    let mut colo = Colocation::new(machine);
-    let primary = colo.add_app(Box::new(benchmark(bench, 0)), 1);
-    // Seed matches the scenario layer: seed.wrapping_mul(31).wrapping_add(1).
-    colo.add_app(corunner(CoId::Objdet, 1), 4);
-    colo.run_until_steady(primary).expect("init");
-    colo.machine_mut().reset_measurement();
-    colo.machine_mut().install_profiler(Profiler::new());
-    let memo_before = colo.machine().memo_stats();
-    let cycles_before = colo.cycles(primary);
-    let start = Instant::now();
-    colo.run_ops(primary, CELL_OPS, |_| {})
-        .expect("measured phase");
-    let wall = start.elapsed();
-    let profile = colo
-        .machine_mut()
-        .take_profiler()
-        .expect("profiler installed above")
-        .finish(wall.as_nanos() as u64);
-    let memo_after = colo.machine().memo_stats();
-    let core = colo.core(primary);
-    let tlb = colo.machine().tlb(core);
+    let run = Scenario::new(bench)
+        .corunners(&[CoId::Objdet])
+        .corunner_weight(4)
+        .policy(alloc)
+        .expect("tracked allocators are registered")
+        .measure_ops(CELL_OPS)
+        .seed(0)
+        .run_observed(ObsConfig::profiled());
+    let profile = run.profile.expect("a profiled run carries a profile");
     PerfCell {
         benchmark: bench.name(),
         allocator: alloc,
-        cycles: colo.cycles(primary) - cycles_before,
-        tlb_lookups: tlb.lookups(),
-        tlb_misses: tlb.misses(),
-        memo: MemoStats {
-            hits: memo_after.hits - memo_before.hits,
-            fills: memo_after.fills - memo_before.fills,
-            naive_walks: memo_after.naive_walks - memo_before.naive_walks,
-            clears: memo_after.clears - memo_before.clears,
-            ..MemoStats::default()
-        },
-        wall_ms: wall.as_secs_f64() * 1e3,
+        cycles: run.metrics.cycles,
+        tlb_lookups: run.metrics.tlb_lookups,
+        tlb_misses: run.metrics.tlb_misses,
+        memo: run.memo,
+        wall_ms: profile.total_wall_ns as f64 / 1e6,
         profile,
     }
 }
@@ -748,6 +731,7 @@ pub fn cmd_perf(args: &[String]) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmsim_obs::Profiler;
 
     fn fake_cell(benchmark: &'static str, allocator: &'static str, cycles: u64) -> PerfCell {
         let mut prof = Profiler::new();

@@ -4,8 +4,8 @@ use std::time::{Duration, Instant};
 
 use ptemagnet::UnknownPolicy;
 use serde::{Deserialize, Serialize};
-use vmsim_os::{GuestFrameAllocator, Machine, MachineConfig};
-use vmsim_types::{FaultPlan, Result, RunError};
+use vmsim_os::{GuestFrameAllocator, Machine, MachineConfig, MemoStats};
+use vmsim_types::{FaultPlan, RunError};
 use vmsim_workloads::{benchmark, corunner, BenchId, CoId, Phase};
 
 use vmsim_config::VmsSpec;
@@ -194,9 +194,6 @@ pub struct Scenario {
     /// Registry name of the allocator policy. Each VM, and each reboot,
     /// resolves a fresh instance from it.
     policy: String,
-    /// Overrides the policy with an arbitrary implementation on a
-    /// single-guest run (e.g. non-standard reservation granularities).
-    custom_allocator: Option<Box<dyn GuestFrameAllocator>>,
     stop_corunners_after_init: bool,
     measure_ops: u64,
     corunner_weight: u32,
@@ -233,7 +230,6 @@ impl Scenario {
             benchmark,
             corunners: Vec::new(),
             policy: AllocatorKind::Default.name().to_string(),
-            custom_allocator: None,
             stop_corunners_after_init: false,
             measure_ops: 200_000,
             corunner_weight: 1,
@@ -266,20 +262,10 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`UnknownPolicy`] if the registry does not resolve `name`.
-    pub fn policy(mut self, name: &str) -> core::result::Result<Self, UnknownPolicy> {
+    pub fn policy(mut self, name: &str) -> Result<Self, UnknownPolicy> {
         ptemagnet::registry::resolve(name)?;
         self.policy = name.to_string();
         Ok(self)
-    }
-
-    /// Uses an arbitrary allocator implementation, labelled by its
-    /// [`GuestFrameAllocator::name`]. Overrides [`Scenario::allocator`] and
-    /// [`Scenario::policy`]. Single-guest runs only: a fleet
-    /// ([`Scenario::vms`]) needs a fresh instance per VM and reboot, which
-    /// only a registry policy can give.
-    pub fn custom_allocator(mut self, allocator: Box<dyn GuestFrameAllocator>) -> Self {
-        self.custom_allocator = Some(allocator);
-        self
     }
 
     /// Stops co-runners once the benchmark finishes allocating (the §3.3
@@ -366,6 +352,18 @@ impl Scenario {
         self
     }
 
+    /// The machine this scenario builds, with the host pool sized for its
+    /// fleet, and the fleet shape (`None` for a single guest).
+    pub(crate) fn host_shape(&self) -> (MachineConfig, Option<VmsSpec>) {
+        let cores = 1 + self.corunners.len();
+        let mut config = self
+            .machine
+            .unwrap_or_else(|| MachineConfig::paper(cores, 1024));
+        let vms = self.vms.filter(VmsSpec::is_active);
+        config.host_frames = fleet::host_frames(vms.as_ref(), &config);
+        (config, vms)
+    }
+
     /// Runs the scenario.
     ///
     /// # Panics
@@ -373,50 +371,33 @@ impl Scenario {
     /// Panics on simulation resource exhaustion (misconfigured machine). Use
     /// [`Scenario::try_run`] to handle errors.
     pub fn run(self) -> RunMetrics {
-        self.try_run().expect("scenario execution failed")
+        self.run_observed(ObsConfig::disabled()).metrics
     }
 
-    /// Runs the scenario, propagating simulation errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`vmsim_types::MemError`] on resource exhaustion.
-    pub fn try_run(self) -> Result<RunMetrics> {
-        Ok(self.try_run_observed(ObsConfig::disabled())?.metrics)
-    }
-
-    /// Runs the scenario with observability enabled per `obs`.
+    /// Runs the scenario with observability enabled per `obs`. The returned
+    /// [`ObservedRun::metrics`] is bit-identical to what [`Scenario::run`]
+    /// produces for the same scenario.
     ///
     /// # Panics
     ///
     /// Panics on simulation resource exhaustion (misconfigured machine). Use
-    /// [`Scenario::try_run_observed`] to handle errors.
+    /// [`Scenario::try_run`] to handle errors.
     pub fn run_observed(self, obs: ObsConfig) -> ObservedRun {
-        self.try_run_observed(obs)
+        self.try_run(obs, CellBudget::unlimited(), None)
             .expect("scenario execution failed")
     }
 
-    /// Runs the scenario with observability enabled per `obs`, propagating
-    /// simulation errors. The returned [`ObservedRun::metrics`] is
-    /// bit-identical to what [`Scenario::try_run`] would produce for the
-    /// same scenario.
+    /// Runs the scenario with observability per `obs`, under the
+    /// supervisor budgets in `budget`. With [`CellBudget::unlimited`] the
+    /// result is bit-identical to [`Scenario::run_observed`].
     ///
-    /// # Errors
-    ///
-    /// Returns [`vmsim_types::MemError`] on resource exhaustion.
-    pub fn try_run_observed(self, obs: ObsConfig) -> Result<ObservedRun> {
-        self.try_run_supervised(obs, CellBudget::unlimited())
-            .map_err(|e| match e {
-                RunError::Sim { error } => error,
-                // With no budgets installed the only failure source is the
-                // simulation itself.
-                other => unreachable!("unbudgeted run failed with {other}"),
-            })
-    }
-
-    /// Runs the scenario under supervisor budgets, with observability per
-    /// `obs`. With [`CellBudget::unlimited`] the result is bit-identical to
-    /// [`Scenario::try_run_observed`].
+    /// `pulse`, when set, is `(heartbeat_ops, on_pulse)`: `on_pulse` is
+    /// called during the measured phase at the first measured chunk
+    /// boundary past each multiple of `heartbeat_ops`, plus once when the
+    /// phase ends. Which ops pulse is deterministic (a pure function of the
+    /// scenario and the interval); the pulse payload carries only op-space
+    /// state, so telemetry sinks add wall-clock data themselves. The
+    /// callback cannot affect the run.
     ///
     /// # Errors
     ///
@@ -425,64 +406,30 @@ impl Scenario {
     /// the allocation/init phase — before any measurable result exists. A
     /// budget expiring during the measured phase is *not* an error: the run
     /// stops early and comes back with [`ObservedRun::truncated`] set.
-    pub fn try_run_supervised(
+    pub fn try_run(
         self,
         obs: ObsConfig,
         budget: CellBudget,
-    ) -> core::result::Result<ObservedRun, RunError> {
-        self.run_inner(obs, budget, u64::MAX, &mut |_| {})
-    }
-
-    /// Like [`Scenario::try_run_supervised`], but invokes `on_pulse` at
-    /// heartbeat cadence during the measured phase: at the first measured
-    /// chunk boundary past each multiple of `heartbeat_ops`, plus once when
-    /// the phase ends. Which ops pulse is deterministic (a pure function of
-    /// the scenario and the interval); the pulse payload carries only
-    /// op-space state, so telemetry sinks add wall-clock data themselves.
-    /// The callback cannot affect the run: results are bit-identical to
-    /// [`Scenario::try_run_supervised`].
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`Scenario::try_run_supervised`].
-    pub fn try_run_supervised_with_progress(
-        self,
-        obs: ObsConfig,
-        budget: CellBudget,
-        heartbeat_ops: u64,
-        on_pulse: &mut dyn FnMut(Pulse),
-    ) -> core::result::Result<ObservedRun, RunError> {
-        self.run_inner(obs, budget, heartbeat_ops.max(1), on_pulse)
-    }
-
-    fn run_inner(
-        self,
-        obs: ObsConfig,
-        budget: CellBudget,
-        heartbeat_ops: u64,
-        on_pulse: &mut dyn FnMut(Pulse),
-    ) -> core::result::Result<ObservedRun, RunError> {
-        let cores = 1 + self.corunners.len();
-        let mut config = self
-            .machine
-            .unwrap_or_else(|| MachineConfig::paper(cores, 1024));
+        pulse: Option<(u64, &mut dyn FnMut(Pulse))>,
+    ) -> Result<ObservedRun, RunError> {
+        let mut ignore = |_: Pulse| {};
+        let (heartbeat_ops, on_pulse): (u64, &mut dyn FnMut(Pulse)) = match pulse {
+            Some((every, on_pulse)) => (every.max(1), on_pulse),
+            None => (u64::MAX, &mut ignore),
+        };
         // The fleet shape, resolved once: every rule that sets a fleet
         // apart from a single guest reads this.
-        let vms = self.vms.filter(VmsSpec::is_active);
-        config.host_frames = fleet::host_frames(vms.as_ref(), &config);
+        let (config, vms) = self.host_shape();
         let policy = self.policy;
         let resolve = move || {
             ptemagnet::registry::resolve(&policy).expect("policy names are checked when set")
         };
-        let mut machine = match (&vms, self.custom_allocator) {
-            (None, custom) => Machine::with_allocator(config, custom.unwrap_or_else(resolve)),
+        let mut machine = match &vms {
+            None => Machine::with_allocator(config, resolve()),
             // Every VM of a fleet, and every reboot, gets a fresh instance
             // of the policy, resolved by its registry name (`granular:8`),
             // not by its allocator's label (`granular-reservation`).
-            (Some(spec), None) => {
-                Machine::multi_tenant(config, fleet::vm_count(spec), move |_| resolve())
-            }
-            (Some(_), Some(_)) => panic!("a fleet needs a registry policy, not a custom allocator"),
+            Some(spec) => Machine::multi_tenant(config, fleet::vm_count(spec), move |_| resolve()),
         };
         let allocator_name = machine.guest().allocator().name();
         machine.set_memo_enabled(self.memo);
@@ -559,6 +506,7 @@ impl Scenario {
         }
         let measured_wall = Instant::now();
         let cycles_before = colo.cycles(primary);
+        let memo_before = colo.machine().memo_stats();
         let mut unused_peak = 0u64;
         let mut unused_sum = 0u128;
         let mut samples = 0u64;
@@ -636,6 +584,14 @@ impl Scenario {
             .machine_mut()
             .take_profiler()
             .map(|p| p.finish(measured_wall.elapsed().as_nanos() as u64));
+        let memo_after = colo.machine().memo_stats();
+        let memo = MemoStats {
+            hits: memo_after.hits - memo_before.hits,
+            fills: memo_after.fills - memo_before.fills,
+            naive_walks: memo_after.naive_walks - memo_before.naive_walks,
+            clears: memo_after.clears - memo_before.clears,
+            ..MemoStats::default()
+        };
 
         let core = colo.core(primary);
         let counters = *colo.machine().caches().core_counters(core);
@@ -675,8 +631,6 @@ impl Scenario {
             faults_injected: gauge("faults.injected"),
         };
 
-        let walk_latency = colo.machine().merged_walk_latency();
-        let fault_latency = colo.machine().merged_fault_latency();
         let (events, trace_dropped) = match colo.machine_mut().take_tracer() {
             Some(mut tracer) => {
                 let dropped = tracer.dropped();
@@ -690,8 +644,8 @@ impl Scenario {
             series,
             events,
             trace_dropped,
-            walk_latency,
-            fault_latency,
+            memo,
+            counters: Box::new(counters),
             profile,
             truncated,
         })
@@ -762,7 +716,7 @@ mod tests {
     fn unlimited_budget_is_bit_identical_to_plain_run() {
         let plain = quick(BenchId::Gcc).run();
         let supervised = quick(BenchId::Gcc)
-            .try_run_supervised(ObsConfig::disabled(), CellBudget::unlimited())
+            .try_run(ObsConfig::disabled(), CellBudget::unlimited(), None)
             .expect("clean run");
         assert!(!supervised.truncated);
         assert_eq!(supervised.metrics, plain);
@@ -771,12 +725,13 @@ mod tests {
     #[test]
     fn op_budget_truncates_into_a_partial_result() {
         let run = quick(BenchId::Gcc)
-            .try_run_supervised(
+            .try_run(
                 ObsConfig::disabled(),
                 CellBudget {
                     max_ops: Some(1_000),
                     soft_wall: None,
                 },
+                None,
             )
             .expect("truncation is not an error");
         assert!(run.truncated);
@@ -787,12 +742,13 @@ mod tests {
     #[test]
     fn wall_budget_expiring_in_init_is_a_typed_error() {
         let err = quick(BenchId::Gcc)
-            .try_run_supervised(
+            .try_run(
                 ObsConfig::disabled(),
                 CellBudget {
                     max_ops: None,
                     soft_wall: Some(Duration::ZERO),
                 },
+                None,
             )
             .expect_err("zero wall budget cannot survive init");
         assert_eq!(err.kind(), "budget_exceeded");

@@ -513,7 +513,7 @@ impl Server {
                 if replay.dropped {
                     eprintln!(
                         "vmsim serve: {}: dropping corrupt admission-journal tail \
-                         (interrupted append)",
+                         (interrupted append, or a job id that is not its manifest's hash)",
                         jobs_path.display()
                     );
                 }
@@ -719,15 +719,16 @@ struct ReplayedJobs {
     /// each newline-terminated. Rewritten over the file on startup so an
     /// append never lands on a torn record.
     kept: String,
-    /// True when a corrupt tail (torn final write from a `kill -9`) was
-    /// dropped from the replay.
+    /// True when a corrupt tail (torn final write from a `kill -9`, or a
+    /// mismatched job id) was dropped from the replay.
     dropped: bool,
 }
 
 /// Replays the admission journal: jobs accepted but never finished come
 /// back as pending work (in admission order); finished jobs whose results
 /// file still exists seed the cache. A corrupt tail (torn final write
-/// from a `kill -9`) truncates the replay, exactly like the cell journal,
+/// from a `kill -9`, or an `accepted` line whose job id is not its
+/// manifest's hash) truncates the replay, exactly like the cell journal,
 /// and the returned `kept` prefix lets the caller repair the file.
 fn replay_jobs(path: &Path) -> Replay {
     let Ok(text) = std::fs::read_to_string(path) else {
@@ -761,6 +762,12 @@ fn replay_jobs(path: &Path) -> Replay {
                         .get("manifest_json")
                         .and_then(|m| m.as_str())
                         .and_then(|text| ExperimentManifest::from_json(text).ok())?;
+                    // The id is the manifest's content address: a line
+                    // whose id names another manifest would answer that
+                    // manifest's submits with this one's results.
+                    if format!("{:016x}", journal::manifest_hash(&manifest)) != id {
+                        return None;
+                    }
                     if !replay.pending.iter().any(|(p, _)| p == id) {
                         replay.pending.push((id.to_string(), manifest));
                     }

@@ -3,11 +3,11 @@
 //! The paper averages every measurement over 40 runs and reports a standard
 //! deviation of execution time under 2 % (§6.1). The simulator is
 //! deterministic per seed, so seeds play the role of runs: this module
-//! replicates a scenario across seeds and summarizes the distribution.
+//! summarizes one scenario's runs across seeds (the manifest driver fans
+//! the seeds out on the worker pool).
 
 use serde::{Deserialize, Serialize};
 
-use crate::parallel::{self, Parallelism};
 use crate::scenario::RunMetrics;
 
 /// Summary statistics of one metric across replicated runs.
@@ -87,41 +87,6 @@ pub struct Replication {
 }
 
 impl Replication {
-    /// Replicates a scenario-producing closure across `seeds`, collecting
-    /// each run's metrics. The closure receives the seed and must build and
-    /// run the scenario with it.
-    ///
-    /// Seeds run on the worker pool configured by `VMSIM_THREADS` (see
-    /// [`Parallelism::from_env`]); results are always in seed order, so the
-    /// outcome is bit-identical to a serial run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty (checked before any scenario runs).
-    pub fn across(
-        seeds: impl IntoIterator<Item = u64>,
-        run: impl Fn(u64) -> RunMetrics + Sync,
-    ) -> Self {
-        Self::across_with(Parallelism::from_env(), seeds, run)
-    }
-
-    /// [`across`](Self::across) with an explicit [`Parallelism`] policy
-    /// instead of the `VMSIM_THREADS` default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty (checked before any scenario runs).
-    pub fn across_with(
-        parallelism: Parallelism,
-        seeds: impl IntoIterator<Item = u64>,
-        run: impl Fn(u64) -> RunMetrics + Sync,
-    ) -> Self {
-        let seeds: Vec<u64> = seeds.into_iter().collect();
-        assert!(!seeds.is_empty(), "need at least one seed");
-        let runs = parallel::run_indexed(parallelism, seeds.len(), |i| run(seeds[i]));
-        Self { runs }
-    }
-
     /// Summarizes execution-time cycles across the replications.
     pub fn cycles(&self) -> Summary {
         Summary::of(
@@ -168,6 +133,21 @@ mod tests {
     use vmsim_os::MachineConfig;
     use vmsim_workloads::BenchId;
 
+    /// Solo gcc on a small VM under `alloc`, one run per seed in `seeds`.
+    fn replicate(seeds: std::ops::Range<u64>, alloc: AllocatorKind, ops: u64) -> Replication {
+        let runs = seeds
+            .map(|seed| {
+                Scenario::new(BenchId::Gcc)
+                    .machine(MachineConfig::paper(1, 128))
+                    .allocator(alloc)
+                    .measure_ops(ops)
+                    .seed(seed)
+                    .run()
+            })
+            .collect();
+        Replication { runs }
+    }
+
     #[test]
     fn summary_math() {
         let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
@@ -198,13 +178,7 @@ mod tests {
         // test scale (20k ops vs the default 300k) sampling noise is
         // larger, so the asserted bound is looser; the full-scale spread is
         // what `vmsim run manifests/variance.json` reports.
-        let rep = Replication::across(0..4, |seed| {
-            Scenario::new(BenchId::Gcc)
-                .machine(MachineConfig::paper(1, 128))
-                .measure_ops(20_000)
-                .seed(seed)
-                .run()
-        });
+        let rep = replicate(0..4, AllocatorKind::Default, 20_000);
         let s = rep.cycles();
         assert_eq!(s.n, 4);
         assert!(
@@ -217,21 +191,8 @@ mod tests {
 
     #[test]
     fn paired_improvement_summary() {
-        let base = Replication::across(0..3, |seed| {
-            Scenario::new(BenchId::Gcc)
-                .machine(MachineConfig::paper(1, 128))
-                .measure_ops(2_000)
-                .seed(seed)
-                .run()
-        });
-        let pm = Replication::across(0..3, |seed| {
-            Scenario::new(BenchId::Gcc)
-                .machine(MachineConfig::paper(1, 128))
-                .allocator(AllocatorKind::PteMagnet)
-                .measure_ops(2_000)
-                .seed(seed)
-                .run()
-        });
+        let base = replicate(0..3, AllocatorKind::Default, 2_000);
+        let pm = replicate(0..3, AllocatorKind::PteMagnet, 2_000);
         let imp = pm.improvement_over(&base);
         // Solo gcc: tiny effect either way, but never a big slowdown.
         assert!(imp.mean > -0.01);

@@ -577,6 +577,81 @@ fn manifest_with_out_of_range_threads_exits_2() {
     }
 }
 
+/// Manifests whose machine cannot be built: each used to pass `validate`,
+/// then panic inside every cell (exit 3), abort on a failed allocation, or
+/// overflow outside the supervised loop (exit 101). Now `validate` fails
+/// and `run` exits 2 before any cell runs, both naming the JSON path.
+#[test]
+fn manifests_that_build_an_impossible_machine_exit_2() {
+    let dir = scratch("impossible-machine");
+    // The checked-in manifest `name` with its first `from` replaced.
+    let edit = |name: &str, from: &str, to: &str| {
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../manifests/{name}.json"));
+        let text = std::fs::read_to_string(path).expect("manifest is checked in");
+        assert!(text.contains(from), "{name}.json has {from}");
+        text.replacen(from, to, 1)
+    };
+    let pages = |n: u64| edit("sec64", "\"pages\": 65536", &format!("\"pages\": {n}"));
+    let cases = [
+        (
+            "guest-0",
+            edit("smoke", "\"guest_mb\": 256", "\"guest_mb\": 0"),
+            "$.sim.guest_mb",
+        ),
+        (
+            "cores-0",
+            edit("smoke", "\"cores\": 2", "\"cores\": 0"),
+            "$.sim.cores",
+        ),
+        (
+            "llc-3",
+            edit("smoke", "\"llc_mb\": null", "\"llc_mb\": 3"),
+            "$.sim.llc_mb",
+        ),
+        (
+            "workload-llc-3",
+            edit("llc", "\"llc_mb\": 1,", "\"llc_mb\": 3,"),
+            "$.experiment.workloads[0].sim.llc_mb",
+        ),
+        (
+            "stlb-3",
+            edit("smoke", "\"stlb_entries\": null", "\"stlb_entries\": 3"),
+            "$.sim.stlb_entries",
+        ),
+        (
+            "prefragment-3",
+            edit(
+                "smoke",
+                "\"prefragment_run\": null",
+                "\"prefragment_run\": 3",
+            ),
+            "$.experiment.workloads[0].prefragment_run",
+        ),
+        (
+            "guest-2^32",
+            edit("smoke", "\"guest_mb\": 256", "\"guest_mb\": 4294967296"),
+            "$.sim.guest_mb",
+        ),
+        (
+            "cores-10^8",
+            edit("smoke", "\"cores\": 2", "\"cores\": 100000000"),
+            "$.sim.cores",
+        ),
+        ("pages-2^40", pages(1 << 40), "$.experiment.pages"),
+        ("pages-2^61+1", pages((1 << 61) + 1), "$.experiment.pages"),
+    ];
+    for (tag, body, path) in cases {
+        let file = write_manifest(&dir, &format!("{tag}.json"), &body);
+        let out = vmsim(&["validate", &file]);
+        assert_eq!(out.status.code(), Some(1), "vmsim validate {tag}");
+        assert!(stderr_of(&out).contains(path), "{tag}: {}", stderr_of(&out));
+        let out = vmsim(&["run", &file, "--out", &dir.to_string_lossy()]);
+        assert_eq!(out.status.code(), Some(2), "vmsim run {tag}");
+        assert!(stderr_of(&out).contains(path), "{tag}: {}", stderr_of(&out));
+    }
+}
+
 #[test]
 fn malformed_guest_threads_env_is_a_usage_error() {
     let dir = scratch("guest-threads-env");

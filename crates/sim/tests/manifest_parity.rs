@@ -13,8 +13,10 @@
 //! the scale knobs are applied identically on both paths.
 
 use vmsim_config::{builtin, ExperimentManifest, SimConfig};
+use vmsim_os::{GuestFrameAllocator, GuestOs};
 use vmsim_sim::driver::{run_manifest, Outcome};
 use vmsim_sim::{AllocatorKind, RunMetrics, Scenario};
+use vmsim_types::{GuestFrame, GuestVirtPage};
 use vmsim_workloads::{BenchId, CoId};
 
 const OPS: u64 = 2_000;
@@ -146,25 +148,30 @@ fn registry_policies_are_bit_identical_to_hand_constructed_allocators() {
             .run();
         let via_registry = Scenario::new(BenchId::Gcc)
             .machine(small().to_machine_config(1))
-            .custom_allocator(ptemagnet::registry::resolve(kind.name()).expect("registered"))
+            .policy(kind.name())
+            .expect("registered")
             .measure_ops(OPS)
             .seed(SEED)
             .run();
         assert_eq!(base, via_registry, "{}: registry diverged", kind.name());
     }
 
-    // Parameterized entries resolve too, to the documented construction.
-    let via_name = Scenario::new(BenchId::Gcc)
-        .machine(small().to_machine_config(1))
-        .custom_allocator(ptemagnet::registry::resolve("granular:8").expect("registered"))
-        .measure_ops(OPS)
-        .seed(SEED)
-        .run();
-    let by_hand = Scenario::new(BenchId::Gcc)
-        .machine(small().to_machine_config(1))
-        .custom_allocator(Box::new(ptemagnet::GranularReservationAllocator::new(3)))
-        .measure_ops(OPS)
-        .seed(SEED)
-        .run();
+    // Parameterized entries resolve too, to the documented construction:
+    // the same faults get the same frames from both allocators.
+    let faults = |allocator: Box<dyn GuestFrameAllocator>| {
+        let mut guest = GuestOs::new(1 << 14, allocator);
+        let pid = guest.spawn();
+        let base = guest.mmap(pid, 4096).expect("mmap").page().raw();
+        let served: Vec<(GuestFrame, u32)> = (0..4096u64)
+            .map(|i| {
+                let vpn = GuestVirtPage::new(base + i * 37 % 4096);
+                let info = guest.page_fault(pid, vpn).expect("fault");
+                (info.gfn, info.pt_node_allocs)
+            })
+            .collect();
+        (guest.allocator().name(), served)
+    };
+    let via_name = faults(ptemagnet::registry::resolve("granular:8").expect("registered"));
+    let by_hand = faults(Box::new(ptemagnet::GranularReservationAllocator::new(3)));
     assert_eq!(via_name, by_hand, "granular:8 != order-3 reservation");
 }

@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use vmsim_os::MachineConfig;
+use vmsim_sim::parallel::run_indexed;
 use vmsim_sim::{
     AllocatorKind, ObsConfig, ObservedRun, Parallelism, Replication, RunMetrics, Scenario,
 };
@@ -30,12 +31,12 @@ proptest! {
         threads in 2usize..6,
     ) {
         let seeds: Vec<u64> = (0..4).map(|i| seed0 + i * stride).collect();
-        let run = |seed| run_scenario(BenchId::Gcc, AllocatorKind::Default, seed);
-        let serial = Replication::across_with(Parallelism::Serial, seeds.clone(), run);
-        let parallel = Replication::across_with(Parallelism::Threads(threads), seeds, run);
+        let run = |i: usize| run_scenario(BenchId::Gcc, AllocatorKind::Default, seeds[i]);
+        let serial = run_indexed(Parallelism::Serial, seeds.len(), run);
+        let parallel = run_indexed(Parallelism::Threads(threads), seeds.len(), run);
         // RunMetrics equality is field-exact (counters, cycles, floats), so
         // this checks bit-identical output per seed, in seed order.
-        prop_assert_eq!(&serial.runs, &parallel.runs);
+        prop_assert_eq!(&serial, &parallel);
     }
 
     #[test]
@@ -43,10 +44,8 @@ proptest! {
         seed0 in 0u64..1_000,
     ) {
         let seeds: Vec<u64> = (seed0..seed0 + 3).collect();
-        let mk = |par: Parallelism, alloc: AllocatorKind| {
-            Replication::across_with(par, seeds.clone(), move |seed| {
-                run_scenario(BenchId::Gcc, alloc, seed)
-            })
+        let mk = |par: Parallelism, alloc: AllocatorKind| Replication {
+            runs: run_indexed(par, seeds.len(), |i| run_scenario(BenchId::Gcc, alloc, seeds[i])),
         };
         let base_serial = mk(Parallelism::Serial, AllocatorKind::Default);
         let pm_serial = mk(Parallelism::Serial, AllocatorKind::PteMagnet);

@@ -21,7 +21,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use vmsim_config::{builtin, ExperimentManifest, ServeBind};
+use vmsim_config::{builtin, ExperimentManifest, ExperimentSpec, ServeBind};
 use vmsim_obs::json::{self, Json};
 use vmsim_sim::driver::{run_supervised, Supervisor};
 use vmsim_sim::{artifacts, ServeConfig, Server};
@@ -288,6 +288,43 @@ fn unknown_policy_submit_is_invalid_and_never_admitted() {
     assert_eq!(run.drain(), 0);
 }
 
+/// A manifest whose machine cannot be built (an alloc-latency array whose
+/// VM size overflows) is refused `invalid` before it is journaled, and the
+/// executor goes on to run the next job.
+#[test]
+fn impossible_machine_submit_is_invalid_and_the_server_keeps_serving() {
+    let out = scratch("impossible");
+    let run = start(&config(&out, 8));
+    let jobs = out.join("serve.jobs.jsonl");
+    let journal_before = std::fs::read(&jobs).unwrap_or_default();
+
+    let mut m = builtin::by_name("sec64").expect("checked-in manifest");
+    m.experiment = ExperimentSpec::AllocLatency {
+        pages: (1 << 61) + 1,
+    };
+    let doc = json::parse(&request_line(&run.addr, &submit_request(&m, false))).expect("JSON");
+    assert_eq!(
+        doc.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{doc:?}"
+    );
+    assert_eq!(doc.get("error").and_then(|e| e.as_str()), Some("invalid"));
+    assert!(doc
+        .get("message")
+        .and_then(|m| m.as_str())
+        .is_some_and(|m| m.contains("$.experiment.pages")));
+    assert_eq!(
+        std::fs::read(&jobs).unwrap_or_default(),
+        journal_before,
+        "nothing is appended to the admission journal"
+    );
+
+    let doc = submit_and_wait(&run.addr, &builtin::smoke());
+    assert_eq!(state_of(&doc), Some("done"));
+    assert_eq!(doc.get("exit").and_then(Json::as_u64), Some(0));
+    assert_eq!(run.drain(), 0);
+}
+
 /// `health` and `status` expose the whole `serve.*` gauge group; `status`
 /// adds the queue view.
 #[test]
@@ -409,6 +446,56 @@ fn torn_admission_journal_tail_is_repaired_on_restart() {
         doc.get("cached").and_then(Json::as_bool),
         Some(true),
         "the post-crash done entry seeds the cache on restart"
+    );
+    let resp = request_line(&addr, "{\"op\": \"drain\"}");
+    assert!(resp.contains("draining"), "drain ack: {resp}");
+    assert_eq!(handle.join().expect("server thread"), 0);
+}
+
+/// An `accepted` line whose job id is not its own manifest's hash is a
+/// corrupt record: the replay drops it (and everything after it), logs the
+/// drop and rewrites the file. A submit of the manifest the id names then
+/// runs that manifest, instead of being answered with the results of the
+/// manifest on the line.
+#[test]
+fn accepted_line_whose_id_is_not_its_manifest_hash_is_dropped() {
+    let out = scratch("forgedid");
+    let cfg = config(&out, 8);
+    let m = builtin::smoke();
+    let id = format!("{:016x}", vmsim_sim::journal::manifest_hash(&m));
+    let mut other = m.clone();
+    other.measure_ops = 4_000;
+    let mut accepted = format!("{{\"event\": \"accepted\", \"job\": \"{id}\", \"name\": ");
+    json::write_str(&mut accepted, &other.name);
+    accepted.push_str(", \"manifest_json\": ");
+    json::write_str(&mut accepted, &other.to_json());
+    accepted.push_str("}\n");
+    let header = "{\"serve_jobs\": 1}\n";
+    std::fs::write(out.join("serve.jobs.jsonl"), format!("{header}{accepted}"))
+        .expect("write journal");
+
+    let server = Server::new(&cfg).expect("server starts");
+    assert_eq!(server.recovered(), 0, "the mismatched line is not replayed");
+    assert_eq!(
+        std::fs::read_to_string(out.join("serve.jobs.jsonl")).expect("journal"),
+        header,
+        "the mismatched line is dropped from the file"
+    );
+    let addr = server.addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let doc = submit_and_wait(&addr, &m);
+    assert_eq!(state_of(&doc), Some("done"));
+    assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
+    let results = doc
+        .get("results")
+        .and_then(|r| r.as_str())
+        .expect("results");
+    let results = json::parse(&std::fs::read_to_string(results).expect("results file"))
+        .expect("results parse");
+    assert_eq!(
+        results.get("measure_ops").and_then(Json::as_u64),
+        Some(m.measure_ops),
+        "the submitted manifest ran, not the one on the journal line"
     );
     let resp = request_line(&addr, "{\"op\": \"drain\"}");
     assert!(resp.contains("draining"), "drain ack: {resp}");

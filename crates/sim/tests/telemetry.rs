@@ -30,11 +30,10 @@ fn pulses(heartbeat_ops: u64) -> Vec<Pulse> {
     Scenario::new(BenchId::Gcc)
         .corunners(&[CoId::StressNg])
         .measure_ops(20_000)
-        .try_run_supervised_with_progress(
+        .try_run(
             ObsConfig::disabled(),
             CellBudget::unlimited(),
-            heartbeat_ops,
-            &mut |pulse| seen.push(pulse),
+            Some((heartbeat_ops, &mut |pulse| seen.push(pulse))),
         )
         .expect("scenario runs");
     seen
