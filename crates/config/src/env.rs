@@ -7,22 +7,23 @@
 //! |-------------------|-----------------------------------------------------|
 //! | `VMSIM_OPS`       | Measured steady-state operations per run            |
 //! | `VMSIM_THREADS`   | Worker-pool size (`0` or unset = one per core)      |
-//! | `VMSIM_TRACE`     | Event tracing: `0` off, `1` on, `n > 1` ring size   |
-//! | `VMSIM_EPOCH_OPS` | Registry-snapshot sampling interval (`0` = off)     |
 //! | `VMSIM_CHAOS_CELL`| Supervisor drill: panic cell `i` (`i` or `i:k`)     |
-//! | `VMSIM_PROFILE`   | Phase profiler: `on`/`1`, `off`/`0` (default)       |
 //! | `VMSIM_HEARTBEAT_OPS` | Heartbeat cadence in machine ops (positive)     |
-//! | `VMSIM_GUEST_THREADS` | Simulated guest threads per workload (1..=64)   |
 //! | `VMSIM_SERVE_BIND` | `vmsim serve` endpoint: loopback `host:port` or `unix:<path>` |
 //! | `VMSIM_SERVE_QUEUE` | `vmsim serve` admission-queue depth (1..=4096)    |
 //! | `VMSIM_SERVE_DRAIN_MS` | `vmsim serve` graceful-drain timeout (positive) |
 //! | `VMSIM_SERVE_DEADLINE_MS` | `vmsim serve` per-job deadline (positive)    |
 //!
+//! None of them restates a manifest key: observability (`obs`) and guest
+//! threads (`threads`) come only from the manifest. Any other set
+//! `VMSIM_*` variable is an [`EnvError`] naming it, so a removed or
+//! misspelt knob is never silently ignored.
+//!
 //! Parsers are strict: a set-but-malformed value is an [`EnvError`], never a
-//! silent fallback to the default. Callers that cannot fail (the worker
-//! pool, the heartbeat default deep in the engine) use the `*_or` lenient
-//! wrappers, which warn once on stderr before falling back. `vmsim
-//! validate` surfaces the same errors via [`check`].
+//! silent fallback to the default. The worker pool, which cannot fail,
+//! uses the lenient [`threads_or_auto`] wrapper, which warns once on
+//! stderr before falling back. `vmsim validate` surfaces the same errors
+//! via [`check`].
 
 use std::sync::Once;
 
@@ -30,24 +31,10 @@ use std::sync::Once;
 pub const VAR_OPS: &str = "VMSIM_OPS";
 /// Worker-pool size for scenario-level fan-out.
 pub const VAR_THREADS: &str = "VMSIM_THREADS";
-/// Event-tracer toggle / ring capacity.
-pub const VAR_TRACE: &str = "VMSIM_TRACE";
-/// Epoch-sampling interval in machine ops.
-pub const VAR_EPOCH_OPS: &str = "VMSIM_EPOCH_OPS";
 /// Supervisor chaos drill: deliberately panic one matrix cell.
 pub const VAR_CHAOS_CELL: &str = "VMSIM_CHAOS_CELL";
-/// Phase-profiler toggle (validated bit-invisible to results).
-pub const VAR_PROFILE: &str = "VMSIM_PROFILE";
 /// Live-telemetry heartbeat cadence, in machine ops per heartbeat.
 pub const VAR_HEARTBEAT_OPS: &str = "VMSIM_HEARTBEAT_OPS";
-/// Simulated guest threads per workload process (overrides the manifest's
-/// `threads` key). Distinct from [`VAR_THREADS`], which sizes the *host*
-/// worker pool and never changes results.
-pub const VAR_GUEST_THREADS: &str = "VMSIM_GUEST_THREADS";
-
-/// Upper bound on simulated guest threads (manifest `threads` key and
-/// [`VAR_GUEST_THREADS`] alike — kept in sync with manifest validation).
-pub const MAX_GUEST_THREADS: u32 = 64;
 
 /// `vmsim serve` bind endpoint: a loopback `host:port` TCP address or a
 /// `unix:<path>` Unix-domain socket path.
@@ -61,6 +48,19 @@ pub const VAR_SERVE_DRAIN_MS: &str = "VMSIM_SERVE_DRAIN_MS";
 /// `vmsim serve` per-job deadline in milliseconds, enforced through the
 /// supervisor's per-cell soft-wall budget (unset = no deadline).
 pub const VAR_SERVE_DEADLINE_MS: &str = "VMSIM_SERVE_DEADLINE_MS";
+
+/// Every knob in the table above. Any other set `VMSIM_*` variable is an
+/// [`EnvError`].
+const KNOWN: [&str; 8] = [
+    VAR_OPS,
+    VAR_THREADS,
+    VAR_CHAOS_CELL,
+    VAR_HEARTBEAT_OPS,
+    VAR_SERVE_BIND,
+    VAR_SERVE_QUEUE,
+    VAR_SERVE_DRAIN_MS,
+    VAR_SERVE_DEADLINE_MS,
+];
 
 /// Default [`VAR_SERVE_QUEUE`] depth.
 pub const DEFAULT_SERVE_QUEUE: usize = 8;
@@ -127,11 +127,12 @@ pub struct ChaosPlan {
     pub fail_attempts: Option<u32>,
 }
 
-/// A set-but-invalid environment override.
+/// A set-but-invalid environment override, or a set `VMSIM_*` variable
+/// that is not a knob.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EnvError {
-    /// Which variable was malformed.
-    pub var: &'static str,
+    /// Which variable was malformed or unknown.
+    pub var: String,
     /// The offending value.
     pub value: String,
     /// Why it was rejected.
@@ -154,9 +155,9 @@ fn raw(var: &str) -> Option<String> {
     }
 }
 
-fn parse_u64(var: &'static str, value: String) -> Result<u64, EnvError> {
+fn parse_u64(var: &str, value: String) -> Result<u64, EnvError> {
     value.parse::<u64>().map_err(|_| EnvError {
-        var,
+        var: var.into(),
         value,
         reason: "expected an unsigned integer",
     })
@@ -178,7 +179,7 @@ pub fn measure_ops() -> Result<Option<u64>, EnvError> {
     let n = parse_u64(VAR_OPS, value.clone())?;
     if n == 0 {
         return Err(EnvError {
-            var: VAR_OPS,
+            var: VAR_OPS.into(),
             value,
             reason: "measured-op count must be positive",
         });
@@ -199,7 +200,7 @@ pub fn threads() -> Result<Option<usize>, EnvError> {
             Ok(0) => Ok(None),
             Ok(n) => Ok(Some(n)),
             Err(_) => Err(EnvError {
-                var: VAR_THREADS,
+                var: VAR_THREADS.into(),
                 value: v,
                 reason: "expected an unsigned integer (0 = one per core)",
             }),
@@ -220,43 +221,6 @@ pub fn threads_or_auto() -> Option<usize> {
     }
 }
 
-/// Tracer override: `VMSIM_TRACE`. `None` = tracing off; `Some(capacity)` =
-/// tracing on with that ring capacity (`1` selects the default capacity).
-///
-/// # Errors
-///
-/// Returns [`EnvError`] if the variable is set but not an unsigned integer.
-pub fn trace() -> Result<Option<usize>, EnvError> {
-    match raw(VAR_TRACE) {
-        None => Ok(None),
-        Some(v) => match v.parse::<u64>() {
-            Ok(0) => Ok(None),
-            Ok(1) => Ok(Some(vmsim_obs::DEFAULT_CAPACITY)),
-            Ok(n) => Ok(Some(n as usize)),
-            Err(_) => Err(EnvError {
-                var: VAR_TRACE,
-                value: v,
-                reason: "expected 0 (off), 1 (on), or a ring capacity",
-            }),
-        },
-    }
-}
-
-/// Epoch-sampling override: `VMSIM_EPOCH_OPS`. `None` = sampling off.
-///
-/// # Errors
-///
-/// Returns [`EnvError`] if the variable is set but not an unsigned integer.
-pub fn epoch_ops() -> Result<Option<u64>, EnvError> {
-    match raw(VAR_EPOCH_OPS) {
-        None => Ok(None),
-        Some(v) => match parse_u64(VAR_EPOCH_OPS, v)? {
-            0 => Ok(None),
-            n => Ok(Some(n)),
-        },
-    }
-}
-
 /// Chaos-drill override: `VMSIM_CHAOS_CELL`. `None` = no injected failure.
 /// Accepts `"i"` (cell `i` panics on every attempt) or `"i:k"` (cell `i`
 /// panics on its first `k` attempts, then succeeds).
@@ -269,7 +233,7 @@ pub fn chaos_cell() -> Result<Option<ChaosPlan>, EnvError> {
         return Ok(None);
     };
     let bad = |reason| EnvError {
-        var: VAR_CHAOS_CELL,
+        var: VAR_CHAOS_CELL.into(),
         value: v.clone(),
         reason,
     };
@@ -300,30 +264,6 @@ pub fn chaos_cell() -> Result<Option<ChaosPlan>, EnvError> {
     }))
 }
 
-/// Phase-profiler override: `VMSIM_PROFILE`. Off by default; `on`/`1`
-/// installs the span profiler on every run's machine. Like the tracer, the
-/// profiler is proven bit-invisible to `RunMetrics`, so this only adds
-/// wall-clock cost and profile artifacts.
-///
-/// # Errors
-///
-/// Returns [`EnvError`] if the variable is set but not a recognized
-/// boolean spelling (`on`/`off`, `1`/`0`, `true`/`false`).
-pub fn profile() -> Result<bool, EnvError> {
-    match raw(VAR_PROFILE) {
-        None => Ok(false),
-        Some(v) => match v.to_ascii_lowercase().as_str() {
-            "1" | "on" | "true" | "yes" => Ok(true),
-            "0" | "off" | "false" | "no" => Ok(false),
-            _ => Err(EnvError {
-                var: VAR_PROFILE,
-                value: v,
-                reason: "expected on/off, 1/0, or true/false",
-            }),
-        },
-    }
-}
-
 /// Heartbeat-cadence override: `VMSIM_HEARTBEAT_OPS`. `None` = use the
 /// built-in default cadence. The value is a *sim-op* interval, so the
 /// points at which heartbeats fire are deterministic even though their
@@ -340,55 +280,13 @@ pub fn heartbeat_ops() -> Result<Option<u64>, EnvError> {
             let n = parse_u64(VAR_HEARTBEAT_OPS, v.clone())?;
             if n == 0 {
                 return Err(EnvError {
-                    var: VAR_HEARTBEAT_OPS,
+                    var: VAR_HEARTBEAT_OPS.into(),
                     value: v,
                     reason: "heartbeat cadence must be positive",
                 });
             }
             Ok(Some(n))
         }
-    }
-}
-
-/// Lenient wrapper over [`heartbeat_ops`]: a malformed value warns once
-/// and yields `None` (default cadence).
-pub fn heartbeat_ops_or_default() -> Option<u64> {
-    static MALFORMED: Once = Once::new();
-    match heartbeat_ops() {
-        Ok(n) => n,
-        Err(e) => {
-            warn_once(&MALFORMED, &format!("ignoring malformed {e}"));
-            None
-        }
-    }
-}
-
-/// Simulated-guest-thread override: `VMSIM_GUEST_THREADS`. `None` = defer
-/// to the workload's `threads` key (default 1, the serial engine). Unlike
-/// `VMSIM_THREADS` this knob changes the simulated workload itself — `N > 1`
-/// interleaves `N` faulting guest threads deterministically — so it is
-/// strict about its range: a positive integer up to [`MAX_GUEST_THREADS`].
-///
-/// # Errors
-///
-/// Returns [`EnvError`] if the variable is set but not an integer in
-/// `1..=64`.
-pub fn guest_threads() -> Result<Option<u32>, EnvError> {
-    let Some(v) = raw(VAR_GUEST_THREADS) else {
-        return Ok(None);
-    };
-    match v.parse::<u32>() {
-        Ok(n) if (1..=MAX_GUEST_THREADS).contains(&n) => Ok(Some(n)),
-        Ok(_) => Err(EnvError {
-            var: VAR_GUEST_THREADS,
-            value: v,
-            reason: "guest thread count must be in 1..=64",
-        }),
-        Err(_) => Err(EnvError {
-            var: VAR_GUEST_THREADS,
-            value: v,
-            reason: "expected a guest thread count in 1..=64",
-        }),
     }
 }
 
@@ -403,7 +301,7 @@ pub fn serve_bind() -> Result<Option<ServeBind>, EnvError> {
     match raw(VAR_SERVE_BIND) {
         None => Ok(None),
         Some(v) => ServeBind::parse(&v).map(Some).map_err(|reason| EnvError {
-            var: VAR_SERVE_BIND,
+            var: VAR_SERVE_BIND.into(),
             value: v,
             reason,
         }),
@@ -425,12 +323,12 @@ pub fn serve_queue() -> Result<Option<usize>, EnvError> {
     match v.parse::<usize>() {
         Ok(n) if (1..=MAX_SERVE_QUEUE).contains(&n) => Ok(Some(n)),
         Ok(_) => Err(EnvError {
-            var: VAR_SERVE_QUEUE,
+            var: VAR_SERVE_QUEUE.into(),
             value: v,
             reason: "queue depth must be in 1..=4096",
         }),
         Err(_) => Err(EnvError {
-            var: VAR_SERVE_QUEUE,
+            var: VAR_SERVE_QUEUE.into(),
             value: v,
             reason: "expected a queue depth in 1..=4096",
         }),
@@ -450,7 +348,7 @@ pub fn serve_drain_ms() -> Result<Option<u64>, EnvError> {
             let n = parse_u64(VAR_SERVE_DRAIN_MS, v.clone())?;
             if n == 0 {
                 return Err(EnvError {
-                    var: VAR_SERVE_DRAIN_MS,
+                    var: VAR_SERVE_DRAIN_MS.into(),
                     value: v,
                     reason: "drain timeout must be positive",
                 });
@@ -462,7 +360,9 @@ pub fn serve_drain_ms() -> Result<Option<u64>, EnvError> {
 
 /// Serve per-job deadline: `VMSIM_SERVE_DEADLINE_MS`. `None` = no
 /// deadline. Enforced through the supervisor's per-cell soft-wall budget,
-/// so a stuck cell is truncated/quarantined rather than wedging the server.
+/// so a stuck matrix cell is truncated or quarantined rather than wedging
+/// the server. Alloc-latency and walk-breakdown jobs run outside the cell
+/// supervisor, so the deadline does not bound them.
 ///
 /// # Errors
 ///
@@ -474,7 +374,7 @@ pub fn serve_deadline_ms() -> Result<Option<u64>, EnvError> {
             let n = parse_u64(VAR_SERVE_DEADLINE_MS, v.clone())?;
             if n == 0 {
                 return Err(EnvError {
-                    var: VAR_SERVE_DEADLINE_MS,
+                    var: VAR_SERVE_DEADLINE_MS.into(),
                     value: v,
                     reason: "job deadline must be positive (unset = none)",
                 });
@@ -484,46 +384,54 @@ pub fn serve_deadline_ms() -> Result<Option<u64>, EnvError> {
     }
 }
 
-/// Validates every recognized override, returning all errors (empty =
-/// clean environment). `vmsim validate` prints these.
+/// Every set `VMSIM_*` variable that is not a knob, sorted by name. A
+/// variable set to a blank value counts as unset, as it does for the knobs.
+fn unknown() -> Vec<EnvError> {
+    let mut errors: Vec<EnvError> = std::env::vars_os()
+        .filter_map(|(var, value)| {
+            let var = var.to_string_lossy();
+            let value = value.to_string_lossy();
+            let unknown = var.starts_with("VMSIM_") && !KNOWN.contains(&var.as_ref());
+            (unknown && !value.trim().is_empty()).then(|| EnvError {
+                var: var.into_owned(),
+                value: value.trim().to_string(),
+                reason: "unknown variable (obs and threads are manifest keys)",
+            })
+        })
+        .collect();
+    errors.sort_by(|a, b| a.var.cmp(&b.var));
+    errors
+}
+
+/// Fails on the first set `VMSIM_*` variable that is not a knob. `vmsim
+/// run`, `vmsim submit` and `vmsim serve` call it before they open a
+/// journal or bind a socket.
+///
+/// # Errors
+///
+/// Returns [`EnvError`] naming the first unknown variable.
+pub fn reject_unknown() -> Result<(), EnvError> {
+    unknown().into_iter().next().map_or(Ok(()), Err)
+}
+
+/// Validates every knob and rejects every unknown `VMSIM_*` variable,
+/// returning all errors (empty = clean environment). `vmsim validate`
+/// prints these.
 pub fn check() -> Vec<EnvError> {
-    let mut errors = Vec::new();
-    if let Err(e) = measure_ops() {
-        errors.push(e);
-    }
-    if let Err(e) = threads() {
-        errors.push(e);
-    }
-    if let Err(e) = trace() {
-        errors.push(e);
-    }
-    if let Err(e) = epoch_ops() {
-        errors.push(e);
-    }
-    if let Err(e) = chaos_cell() {
-        errors.push(e);
-    }
-    if let Err(e) = profile() {
-        errors.push(e);
-    }
-    if let Err(e) = heartbeat_ops() {
-        errors.push(e);
-    }
-    if let Err(e) = guest_threads() {
-        errors.push(e);
-    }
-    if let Err(e) = serve_bind() {
-        errors.push(e);
-    }
-    if let Err(e) = serve_queue() {
-        errors.push(e);
-    }
-    if let Err(e) = serve_drain_ms() {
-        errors.push(e);
-    }
-    if let Err(e) = serve_deadline_ms() {
-        errors.push(e);
-    }
+    let mut errors: Vec<EnvError> = [
+        measure_ops().err(),
+        threads().err(),
+        chaos_cell().err(),
+        heartbeat_ops().err(),
+        serve_bind().err(),
+        serve_queue().err(),
+        serve_drain_ms().err(),
+        serve_deadline_ms().err(),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    errors.extend(unknown());
     errors
 }
 
@@ -535,21 +443,18 @@ mod tests {
     /// avoid racing parallel test threads on the same variables.
     #[test]
     fn strict_parsing() {
-        for var in [
-            VAR_OPS,
-            VAR_THREADS,
-            VAR_TRACE,
-            VAR_EPOCH_OPS,
-            VAR_PROFILE,
-            VAR_HEARTBEAT_OPS,
-        ] {
-            std::env::remove_var(var);
-        }
+        let clear = || {
+            for (var, _) in std::env::vars_os() {
+                if var.to_string_lossy().starts_with("VMSIM_") {
+                    std::env::remove_var(var);
+                }
+            }
+        };
+        clear();
         assert_eq!(measure_ops(), Ok(None));
         assert_eq!(threads(), Ok(None));
-        assert_eq!(trace(), Ok(None));
-        assert_eq!(epoch_ops(), Ok(None));
         assert!(check().is_empty());
+        assert_eq!(reject_unknown(), Ok(()));
 
         std::env::set_var(VAR_OPS, "2000");
         assert_eq!(measure_ops(), Ok(Some(2000)));
@@ -567,18 +472,6 @@ mod tests {
         std::env::set_var(VAR_THREADS, "many");
         assert!(threads().is_err());
         assert_eq!(threads_or_auto(), None);
-
-        std::env::set_var(VAR_TRACE, "1");
-        assert_eq!(trace(), Ok(Some(vmsim_obs::DEFAULT_CAPACITY)));
-        std::env::set_var(VAR_TRACE, "4096");
-        assert_eq!(trace(), Ok(Some(4096)));
-        std::env::set_var(VAR_TRACE, "yes");
-        assert!(trace().is_err());
-
-        std::env::set_var(VAR_EPOCH_OPS, "500");
-        assert_eq!(epoch_ops(), Ok(Some(500)));
-        std::env::set_var(VAR_EPOCH_OPS, "soon");
-        assert!(epoch_ops().is_err());
 
         std::env::set_var(VAR_CHAOS_CELL, "3");
         assert_eq!(
@@ -601,15 +494,6 @@ mod tests {
             assert!(chaos_cell().is_err(), "{bad:?} must be rejected");
         }
 
-        // Profiler knob: defaults off, boolean spellings, rejects junk.
-        assert_eq!(profile(), Ok(false));
-        for (v, want) in [("on", true), ("1", true), ("off", false), ("NO", false)] {
-            std::env::set_var(VAR_PROFILE, v);
-            assert_eq!(profile(), Ok(want), "VMSIM_PROFILE={v}");
-        }
-        std::env::set_var(VAR_PROFILE, "sometimes");
-        assert!(profile().is_err());
-
         // Heartbeat cadence: positive op interval, default when unset.
         assert_eq!(heartbeat_ops(), Ok(None));
         std::env::set_var(VAR_HEARTBEAT_OPS, "2500");
@@ -617,18 +501,6 @@ mod tests {
         for bad in ["0", "often"] {
             std::env::set_var(VAR_HEARTBEAT_OPS, bad);
             assert!(heartbeat_ops().is_err(), "{bad:?} must be rejected");
-        }
-        assert_eq!(heartbeat_ops_or_default(), None);
-
-        // Guest threads: strict 1..=64, defers to the manifest when unset.
-        assert_eq!(guest_threads(), Ok(None));
-        std::env::set_var(VAR_GUEST_THREADS, "4");
-        assert_eq!(guest_threads(), Ok(Some(4)));
-        std::env::set_var(VAR_GUEST_THREADS, "64");
-        assert_eq!(guest_threads(), Ok(Some(64)));
-        for bad in ["0", "65", "-1", "some"] {
-            std::env::set_var(VAR_GUEST_THREADS, bad);
-            assert!(guest_threads().is_err(), "{bad:?} must be rejected");
         }
 
         // Serve bind: loopback TCP or unix:<path>, strictly local.
@@ -675,41 +547,26 @@ mod tests {
             assert!(serve_deadline_ms().is_err(), "{bad:?} must be rejected");
         }
 
-        // check() reports every malformed variable at once.
+        // Removed knobs and misspellings are unknown variables; a blank
+        // value counts as unset.
+        for var in ["VMSIM_TRACE", "VMSIM_OPPS"] {
+            std::env::set_var(var, "1");
+        }
+        std::env::set_var("VMSIM_PROFILE", "  ");
+        let first = reject_unknown().expect_err("unknown variables are rejected");
+        assert_eq!(
+            (first.var.as_str(), first.value.as_str()),
+            ("VMSIM_OPPS", "1")
+        );
+
+        // check() reports every malformed knob and every unknown variable
+        // at once.
         let errors = check();
-        assert_eq!(errors.len(), 12);
-        for var in [
-            VAR_OPS,
-            VAR_THREADS,
-            VAR_TRACE,
-            VAR_EPOCH_OPS,
-            VAR_CHAOS_CELL,
-            VAR_PROFILE,
-            VAR_HEARTBEAT_OPS,
-            VAR_GUEST_THREADS,
-            VAR_SERVE_BIND,
-            VAR_SERVE_QUEUE,
-            VAR_SERVE_DRAIN_MS,
-            VAR_SERVE_DEADLINE_MS,
-        ] {
+        assert_eq!(errors.len(), KNOWN.len() + 2);
+        for var in KNOWN.into_iter().chain(["VMSIM_OPPS", "VMSIM_TRACE"]) {
             assert!(errors.iter().any(|e| e.var == var), "{var} reported");
         }
 
-        for var in [
-            VAR_OPS,
-            VAR_THREADS,
-            VAR_TRACE,
-            VAR_EPOCH_OPS,
-            VAR_CHAOS_CELL,
-            VAR_PROFILE,
-            VAR_HEARTBEAT_OPS,
-            VAR_GUEST_THREADS,
-            VAR_SERVE_BIND,
-            VAR_SERVE_QUEUE,
-            VAR_SERVE_DRAIN_MS,
-            VAR_SERVE_DEADLINE_MS,
-        ] {
-            std::env::remove_var(var);
-        }
+        clear();
     }
 }

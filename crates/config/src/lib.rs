@@ -10,14 +10,13 @@
 //! * [`builtin`] — the checked-in `manifests/*.json` files, compiled in
 //!   and parsed on demand (one manifest per table/figure of the paper);
 //! * [`env`](mod@env) — the canonical environment-override parser
-//!   (`VMSIM_OPS`, `VMSIM_THREADS`, `VMSIM_TRACE`, `VMSIM_EPOCH_OPS`, ...),
-//!   strict by default;
+//!   (`VMSIM_OPS`, `VMSIM_THREADS`, `VMSIM_CHAOS_CELL`, ...), strict by
+//!   default; an unknown `VMSIM_*` variable is an error;
 //! * [`obs`] — [`ObsConfig`], the per-run observability knobs carried by
-//!   every manifest.
+//!   every manifest (its `obs` block is their only source).
 //!
 //! Policy names are resolved to allocators by the registry in
-//! `ptemagnet::registry` (with `vmsim_os::resolve_os_policy` handling the
-//! OS-native `default`); the driver in `vmsim-sim` executes manifests; the
+//! `ptemagnet::registry`; the driver in `vmsim-sim` executes manifests; the
 //! `vmsim` CLI fronts the whole thing.
 
 pub mod builtin;

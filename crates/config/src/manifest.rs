@@ -222,8 +222,9 @@ pub struct WorkloadSpec {
     /// Simulated guest threads faulting concurrently inside the benchmark
     /// process (1..=64). `1` — the default and the legacy shape — routes
     /// through the serial engine bit-identically; `N > 1` interleaves `N`
-    /// faulting threads deterministically from the run seed.
-    /// `VMSIM_GUEST_THREADS` overrides this at run time.
+    /// faulting threads deterministically from the run seed. This key is
+    /// the only source of the count: to run a matrix with `N` guest
+    /// threads, set each workload's `"threads": N` in the manifest.
     pub threads: u32,
     /// Stop co-runners once the benchmark finishes allocating (§3.3).
     pub stop_corunners_after_init: bool,

@@ -1,10 +1,7 @@
 //! Observability configuration for a run.
 //!
-//! Moved here from `vmsim-sim` so the manifest layer can carry it; the
-//! environment knobs are parsed by [`crate::env`] (the single parsing
-//! point) and are strict: malformed values are errors, not silent defaults.
-
-use crate::env::{self, EnvError};
+//! Moved here from `vmsim-sim` so the manifest layer can carry it: a run's
+//! observability comes only from its manifest's `obs` block.
 
 /// What a scenario run should observe beyond its end-of-run metrics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,24 +46,6 @@ impl ObsConfig {
             profile: true,
             ..Self::disabled()
         }
-    }
-
-    /// Reads the `VMSIM_TRACE` / `VMSIM_EPOCH_OPS` / `VMSIM_PROFILE`
-    /// environment knobs via [`crate::env`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvError`] if either variable is set but malformed —
-    /// surfaced by `vmsim validate` rather than silently defaulted.
-    pub fn from_env() -> Result<Self, EnvError> {
-        let mut cfg = Self::disabled();
-        if let Some(capacity) = env::trace()? {
-            cfg.trace = true;
-            cfg.trace_capacity = capacity;
-        }
-        cfg.epoch_ops = env::epoch_ops()?;
-        cfg.profile = env::profile()?;
-        Ok(cfg)
     }
 
     /// Whether this configuration observes anything at all.

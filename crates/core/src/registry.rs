@@ -5,10 +5,6 @@
 //! [`resolve`], so adding a policy means adding one arm here — not a new
 //! enum variant in the harness and not a new binary.
 //!
-//! The registry is layered: [`vmsim_os::resolve_os_policy`] owns the
-//! OS-native names (`default`), and this module adds the paper's policies
-//! and ablations on top:
-//!
 //! | Name             | Allocator                                          |
 //! |------------------|----------------------------------------------------|
 //! | `default`        | [`vmsim_os::DefaultAllocator`] (order-0 buddy)     |
@@ -20,7 +16,7 @@
 //! `N` in `granular:N` must be a power of two in 1..=16 (the granularity
 //! ablation's sweep); `granular:8` matches PTEMagnet's group size.
 
-use vmsim_os::GuestFrameAllocator;
+use vmsim_os::{DefaultAllocator, GuestFrameAllocator};
 
 use crate::ablation::GranularReservationAllocator;
 use crate::baselines::{CaPagingLike, ThpAllocator};
@@ -49,22 +45,24 @@ impl std::error::Error for UnknownPolicy {}
 /// The fixed policy names, for `vmsim list` and error messages (the
 /// parameterized `granular:N` family is documented alongside).
 pub fn catalog() -> Vec<&'static str> {
-    let mut names = vmsim_os::OS_POLICY_NAMES.to_vec();
-    names.extend(["ptemagnet", "thp", "ca-paging-like", "granular:8"]);
-    names
+    vec![
+        "default",
+        "ptemagnet",
+        "thp",
+        "ca-paging-like",
+        "granular:8",
+    ]
 }
 
 /// Resolves a policy name to a fresh allocator instance.
 ///
 /// # Errors
 ///
-/// Returns [`UnknownPolicy`] if the name is neither an OS-native policy,
-/// one of the paper's policies, nor a valid `granular:N`.
+/// Returns [`UnknownPolicy`] if the name is neither `default`, one of the
+/// paper's policies, nor a valid `granular:N`.
 pub fn resolve(name: &str) -> Result<Box<dyn GuestFrameAllocator>, UnknownPolicy> {
-    if let Some(alloc) = vmsim_os::resolve_os_policy(name) {
-        return Ok(alloc);
-    }
     match name {
+        "default" => Ok(Box::new(DefaultAllocator::new())),
         "ptemagnet" => Ok(Box::new(ReservationAllocator::new())),
         "thp" => Ok(Box::new(ThpAllocator::new())),
         "ca-paging-like" => Ok(Box::new(CaPagingLike::new())),

@@ -199,20 +199,6 @@ impl GuestFrameAllocator for DefaultAllocator {
     }
 }
 
-/// Names of the allocation policies implemented by this crate, for the
-/// registry catalog.
-pub const OS_POLICY_NAMES: [&str; 1] = ["default"];
-
-/// Resolves an OS-native policy name to an allocator: the base layer of the
-/// policy registry (`ptemagnet::registry::resolve` adds the paper's
-/// policies on top). Returns `None` for names this crate does not define.
-pub fn resolve_os_policy(name: &str) -> Option<Box<dyn GuestFrameAllocator>> {
-    match name {
-        "default" => Some(Box::new(DefaultAllocator::new())),
-        _ => None,
-    }
-}
-
 /// Outcome of serving a page fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultInfo {

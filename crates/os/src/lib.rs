@@ -46,8 +46,7 @@ pub mod vma;
 pub use cost::CostModel;
 pub use frames::FrameRefTable;
 pub use guest::{
-    resolve_os_policy, AllocCost, AllocGrant, DefaultAllocator, GuestBuddy, GuestFrameAllocator,
-    GuestOs, OS_POLICY_NAMES,
+    AllocCost, AllocGrant, DefaultAllocator, GuestBuddy, GuestFrameAllocator, GuestOs,
 };
 pub use host::HostOs;
 pub use machine::{Machine, MachineConfig, MemoStats, ShapeError, TouchOutcome};

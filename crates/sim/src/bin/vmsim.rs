@@ -32,8 +32,8 @@
 //! `drain` op. Configuration comes from the strict `VMSIM_SERVE_*` knobs
 //! (bind endpoint, queue depth, drain budget, per-job deadline); the
 //! actual bound address is advertised in `DIR/serve.addr`. `submit` is the
-//! matching client: it sends one manifest (applying the same env
-//! overrides `run` would) and by default streams status lines until the
+//! matching client: it sends one manifest (applying the same `VMSIM_OPS`
+//! override `run` would) and by default streams status lines until the
 //! job finishes, exiting with the job's own `run`-style code — or `4`
 //! when the server refuses (overloaded, draining, journal unavailable) or
 //! defers the job. `--health`/`--status`/`--drain` send bare probe ops.
@@ -56,28 +56,31 @@
 //! * `1` — the experiment ran but one or more artifacts failed to write
 //!   or re-parse;
 //! * `2` — invalid input: bad usage, unreadable/invalid manifest,
-//!   malformed environment value, or an unusable `--resume` journal;
+//!   malformed or unknown `VMSIM_*` variable, or an unusable `--resume`
+//!   journal;
 //! * `3` — the run completed but one or more cells were quarantined
 //!   (takes precedence over `1`).
 //!
 //! Environment overrides (parsed strictly by `vmsim_config::env`; malformed
 //! values are errors here, not silent defaults): `VMSIM_OPS` (measured ops),
-//! `VMSIM_THREADS` (worker pool),
-//! `VMSIM_TRACE` / `VMSIM_EPOCH_OPS` (force observability on), and
-//! `VMSIM_CHAOS_CELL` (`i` or `i:k`: deterministically panic matrix cell
-//! `i`, every attempt or only the first `k` — the supervised-runtime
-//! failure drill), and the `VMSIM_SERVE_*` group (`_BIND`, `_QUEUE`,
-//! `_DRAIN_MS`, `_DEADLINE_MS`) for `serve`/`submit`.
+//! `VMSIM_THREADS` (worker pool), `VMSIM_CHAOS_CELL` (`i` or `i:k`:
+//! deterministically panic matrix cell `i`, every attempt or only the first
+//! `k` — the supervised-runtime failure drill), `VMSIM_HEARTBEAT_OPS`
+//! (heartbeat cadence), and the `VMSIM_SERVE_*` group (`_BIND`, `_QUEUE`,
+//! `_DRAIN_MS`, `_DEADLINE_MS`) for `serve`/`submit`. Observability and
+//! guest threads come only from the manifest (`obs`, `threads`). Any other
+//! set `VMSIM_*` variable is a usage error, so a misspelt knob is never
+//! silently ignored.
 //!
 //! `validate` checks manifest shape, resolves every policy against the
-//! registry, and reports malformed `VMSIM_*` environment values. `list`
+//! registry, and reports malformed or unknown `VMSIM_*` variables. `list`
 //! shows the checked-in manifests (runnable by name), report kinds, and the
 //! policy catalog.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use vmsim_config::{builtin, env, ChaosPlan, ExperimentManifest, ExperimentSpec, ObsConfig};
+use vmsim_config::{builtin, env, ChaosPlan, ExperimentManifest, ExperimentSpec};
 use vmsim_sim::driver::{self, Supervisor};
 use vmsim_sim::{artifacts, serve, Journal, Progress};
 
@@ -123,25 +126,12 @@ fn load(source: &str) -> Result<ExperimentManifest, String> {
         .ok_or_else(|| format!("{source}: no such file and no builtin manifest of that name"))
 }
 
-/// Applies the documented environment overrides to a loaded manifest.
+/// Applies the one environment override of a manifest key (`VMSIM_OPS`)
+/// to a loaded manifest, after rejecting any unknown `VMSIM_*` variable.
 fn apply_env(manifest: &mut ExperimentManifest) -> Result<(), env::EnvError> {
+    env::reject_unknown()?;
     if let Some(ops) = env::measure_ops()? {
         manifest.measure_ops = ops;
-    }
-    // VMSIM_GUEST_THREADS overrides every workload's `threads` knob (env >
-    // manifest). Parsed before anything
-    // runs, so a malformed value is a usage error (exit 2), never a
-    // half-executed run.
-    if let Some(threads) = env::guest_threads()? {
-        if let ExperimentSpec::Matrix(matrix) = &mut manifest.experiment {
-            for workload in &mut matrix.workloads {
-                workload.threads = threads;
-            }
-        }
-    }
-    let obs = ObsConfig::from_env()?;
-    if obs.is_enabled() {
-        manifest.obs = obs;
     }
     Ok(())
 }
@@ -475,10 +465,9 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         eprintln!("vmsim submit: exactly one manifest\n{USAGE}");
         return ExitCode::from(2);
     };
-    // The documented env overrides (VMSIM_OPS, VMSIM_GUEST_THREADS, obs
-    // knobs) are applied client-side before sending, exactly as `vmsim
-    // run` would: the server executes what was sent, and the content
-    // address reflects what will actually run.
+    // The env override (VMSIM_OPS) is applied client-side before sending,
+    // exactly as `vmsim run` would: the server executes what was sent, and
+    // the content address reflects what will actually run.
     let text = match load(source) {
         Ok(mut manifest) => {
             if let Err(e) = apply_env(&mut manifest) {
@@ -503,7 +492,7 @@ fn cmd_validate(args: &[String]) -> ExitCode {
     let mut errors = 0u32;
 
     // The environment is part of what a run would consume: surface strict
-    // parse errors (including the ObsConfig knobs) here.
+    // parse errors and unknown `VMSIM_*` variables here.
     for e in env::check() {
         eprintln!("env: {e}");
         errors += 1;

@@ -23,7 +23,7 @@
 //!   goes through it: `vmsim run manifests/<name>.json` is the one way to
 //!   regenerate a table or figure of the paper;
 //! * [`obs`] — scenario-level observability: the [`ObsConfig`] knobs
-//!   (re-exported from `vmsim-config`; `VMSIM_TRACE`, `VMSIM_EPOCH_OPS`)
+//!   (re-exported from `vmsim-config`; set by a manifest's `obs` block)
 //!   and the [`ObservedRun`] wrapper carrying snapshot, epoch time series,
 //!   and event trace next to the untouched [`RunMetrics`];
 //! * [`parallel`] — deterministic worker pool fanning independent runs
@@ -77,7 +77,7 @@ pub use engine::Colocation;
 pub use journal::{Journal, JournalEntry};
 pub use obs::{ObsConfig, ObservedRun};
 pub use parallel::Parallelism;
-pub use progress::{Progress, ProgressStats, Pulse, DEFAULT_HEARTBEAT_OPS};
+pub use progress::{Progress, Pulse, DEFAULT_HEARTBEAT_OPS};
 pub use report::{
     pct_change, AllocLatency, BenchPair, FigureSweep, HwSensitivityRow, ReservedUnused, Table1,
     Table4, ThpRow, ThpStudy,

@@ -8,8 +8,7 @@
 //! observability can never change a metric.
 //!
 //! The configuration type moved to `vmsim-config` so manifests can carry
-//! it; the strict environment knobs (`VMSIM_TRACE`, `VMSIM_EPOCH_OPS`) are
-//! parsed by `vmsim_config::env`, the single parsing point.
+//! it; a manifest's `obs` block is its only source.
 
 use vmsim_cache::MemCounters;
 use vmsim_obs::{Event, PhaseProfile, Snapshot, TimeSeries};

@@ -30,7 +30,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use vmsim_config::ExperimentManifest;
-use vmsim_obs::{json, Metric, MetricSource};
+use vmsim_obs::json;
 use vmsim_types::RunError;
 
 use crate::journal;
@@ -88,28 +88,6 @@ struct Sink {
     pace: HashMap<u64, Pace>,
 }
 
-/// What the heartbeat stream suffered over a run. Registers as the
-/// `progress.*` gauge group ([`MetricSource`]), so lost telemetry is
-/// visible in metric snapshots instead of silently latched.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProgressStats {
-    /// Heartbeat/status lines lost to I/O errors (the failing write and
-    /// every drop after the latch).
-    pub io_errors: u64,
-    /// The first error the stream hit, if any.
-    pub error: Option<String>,
-}
-
-impl MetricSource for ProgressStats {
-    fn source_name(&self) -> &'static str {
-        "progress"
-    }
-
-    fn emit(&self, out: &mut Vec<Metric>) {
-        out.push(Metric::u64("io_errors", self.io_errors));
-    }
-}
-
 /// An append-only heartbeat stream bound to one manifest.
 ///
 /// Shared by reference across the worker pool (all mutable state behind
@@ -117,8 +95,7 @@ impl MetricSource for ProgressStats {
 /// remembered and reported by [`Progress::io_error`], later writes are
 /// dropped — telemetry must never take down the run it watches. The loss
 /// is *not* silent: every dropped line is counted
-/// ([`Progress::io_errors`]) and exported as the `progress.io_errors`
-/// gauge via [`ProgressStats`], so the final run summary can report how
+/// ([`Progress::io_errors`]), so the final run summary can report how
 /// much telemetry went missing.
 pub struct Progress {
     path: PathBuf,
@@ -260,16 +237,6 @@ impl Progress {
         self.sink.lock().expect("progress lock").lost
     }
 
-    /// Snapshot of the stream's error state for metric registration.
-    #[must_use]
-    pub fn stats(&self) -> ProgressStats {
-        let sink = self.sink.lock().expect("progress lock");
-        ProgressStats {
-            io_errors: sink.lost,
-            error: sink.error.clone(),
-        }
-    }
-
     /// Replaces the sink with a read-only handle so the next write fails —
     /// test hook for the error-latching path.
     #[cfg(test)]
@@ -408,18 +375,6 @@ mod tests {
         progress.cell_status(0, "gcc", "default", 0, 1, "done");
         assert_eq!(progress.io_errors(), 3);
         assert_eq!(progress.io_error().as_deref(), Some(first.as_str()));
-
-        // The stats snapshot feeds the `progress.io_errors` gauge.
-        let stats = progress.stats();
-        assert_eq!(stats.io_errors, 3);
-        assert_eq!(stats.error.as_deref(), Some(first.as_str()));
-        let mut registry = vmsim_obs::Registry::new();
-        registry.record_as("progress", &stats);
-        let snap = registry.snapshot(0);
-        assert_eq!(
-            snap.get("progress.io_errors"),
-            Some(vmsim_obs::Value::U64(3))
-        );
     }
 
     #[test]

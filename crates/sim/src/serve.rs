@@ -23,8 +23,10 @@
 //!   manifest answers from the cache without re-execution.
 //! * **Deadlines and budgets.** `VMSIM_SERVE_DEADLINE_MS` caps every
 //!   job's per-cell soft wall (tightening, never loosening, what the
-//!   manifest asks for), so stuck cells are truncated or quarantined by
-//!   the existing supervisor machinery rather than wedging the server.
+//!   manifest asks for), so stuck matrix cells are truncated or
+//!   quarantined by the existing supervisor machinery rather than wedging
+//!   the server. Alloc-latency and walk-breakdown jobs run outside the
+//!   cell supervisor, so the deadline does not bound them.
 //! * **Graceful drain.** SIGTERM (or the `drain` request) stops admission,
 //!   lets the in-flight job finish and persist its journals, answers
 //!   queued-but-unstarted waiters with `deferred` (they recover on the
@@ -164,10 +166,11 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Reads the `VMSIM_SERVE_*` knobs, failing on any malformed value
-    /// (the CLI maps this to exit 2 — a bad knob never half-starts a
-    /// server).
+    /// Reads the `VMSIM_SERVE_*` knobs, failing on any malformed value or
+    /// unknown `VMSIM_*` variable (the CLI maps this to exit 2 — a bad knob
+    /// never half-starts a server).
     pub fn from_env(out_dir: &Path) -> Result<ServeConfig, EnvError> {
+        env::reject_unknown()?;
         let bind = match env::serve_bind()? {
             Some(bind) => bind,
             None => ServeBind::parse(env::DEFAULT_SERVE_BIND).expect("default bind parses"),
@@ -893,16 +896,19 @@ fn execute(shared: &Shared, job: &Job) -> JobResult {
 
     // Same journaling rules as `vmsim run`: matrix cells are journaled; a
     // journal left by a killed predecessor is resumed for byte-identical
-    // replay, an unusable one is rebuilt from scratch.
+    // replay, an unusable one is rebuilt from scratch, and one that cannot
+    // be created fails the job, which still runs unjournaled.
+    let mut diagnostics = Vec::new();
+    let mut failures = 0;
     let journal = if matches!(manifest.experiment, ExperimentSpec::Matrix(_)) {
         let jpath = dir.join(format!("{}.journal.jsonl", manifest.name));
-        if jpath.exists() {
-            match Journal::resume(&jpath, &manifest) {
-                Ok(j) => Some(j),
-                Err(_) => Journal::create(&jpath, &manifest).ok(),
+        match Journal::resume(&jpath, &manifest).or_else(|_| Journal::create(&jpath, &manifest)) {
+            Ok(j) => Some(j),
+            Err(e) => {
+                diagnostics.push(format!("FAIL journal: {e}"));
+                failures += 1;
+                None
             }
-        } else {
-            Journal::create(&jpath, &manifest).ok()
         }
     } else {
         None
@@ -924,17 +930,16 @@ fn execute(shared: &Shared, job: &Job) -> JobResult {
             }
         }
     };
-    let mut diagnostics = Vec::new();
     let set = artifacts::write_all(&run, &dir, t0.elapsed().as_secs_f64(), &mut |line| {
         diagnostics.push(line.to_string());
     });
+    failures += set.failures;
+    if let Some(err) = journal.as_ref().and_then(Journal::io_error) {
+        diagnostics.push(format!("FAIL journal: {err}"));
+        failures += 1;
+    }
     for line in &diagnostics {
         eprintln!("vmsim serve: job {}: {line}", job.id);
-    }
-    let mut failures = set.failures;
-    if let Some(err) = journal.as_ref().and_then(Journal::io_error) {
-        eprintln!("vmsim serve: job {}: FAIL journal: {err}", job.id);
-        failures += 1;
     }
 
     let exit = if run.supervision.quarantined > 0 {

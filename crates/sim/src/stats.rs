@@ -98,16 +98,6 @@ impl Replication {
         )
     }
 
-    /// Summarizes the host-PT fragmentation metric.
-    pub fn host_frag(&self) -> Summary {
-        Summary::of(&self.runs.iter().map(|r| r.host_frag).collect::<Vec<_>>())
-    }
-
-    /// Summarizes an arbitrary projection of the runs.
-    pub fn summary_of(&self, f: impl Fn(&RunMetrics) -> f64) -> Summary {
-        Summary::of(&self.runs.iter().map(f).collect::<Vec<_>>())
-    }
-
     /// Mean improvement of this replication over a baseline replication,
     /// paired by seed.
     ///

@@ -4,7 +4,8 @@
 //! never a success code and never a panic.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn vmsim(args: &[&str]) -> Output {
     vmsim_env(args, &[])
@@ -742,4 +743,76 @@ fn submit_without_a_manifest_exits_2() {
     let out = vmsim(&["submit", "--addr", "127.0.0.1:7171"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr_of(&out).contains("exactly one manifest"));
+}
+
+/// Spawns `vmsim serve` on an ephemeral loopback port and waits at most
+/// `limit` for it to exit. A server still running then is killed, and its
+/// exit code is reported as `None`.
+fn serve_exit(dir: &Path, envs: &[(&str, &str)], limit: Duration) -> (Option<i32>, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_vmsim"));
+    cmd.env_remove("VMSIM_CHAOS_CELL")
+        .env("VMSIM_SERVE_BIND", "127.0.0.1:0")
+        .envs(envs.iter().copied())
+        .args(["serve", "--out", &dir.to_string_lossy()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped());
+    let mut child = cmd.spawn().expect("spawn vmsim serve");
+    let deadline = Instant::now() + limit;
+    let code = loop {
+        if let Some(status) = child.try_wait().expect("poll vmsim serve") {
+            break status.code();
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let out = child.wait_with_output().expect("reap vmsim serve");
+    (code, stderr_of(&out))
+}
+
+/// The four removed knobs and a misspelt one: each is an unknown `VMSIM_*`
+/// variable, so every command that consumes the environment refuses it
+/// by name before it touches a journal, a result or a socket.
+#[test]
+fn unknown_vmsim_variables_are_usage_errors() {
+    let smoke = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../manifests/smoke.json");
+    let smoke = smoke.to_string_lossy();
+    for (var, value) in [
+        ("VMSIM_TRACE", "1"),
+        ("VMSIM_EPOCH_OPS", "1000"),
+        ("VMSIM_PROFILE", "1"),
+        ("VMSIM_GUEST_THREADS", "4"),
+        ("VMSIM_OPPS", "10"),
+    ] {
+        let dir = scratch(&format!("unknown-{var}"));
+        let env = [(var, value)];
+
+        let out = vmsim_env(&["run", &smoke, "--out", &dir.to_string_lossy()], &env);
+        assert_eq!(out.status.code(), Some(2), "run with {var}={value}");
+        assert!(stderr_of(&out).contains(var), "run: {}", stderr_of(&out));
+        for name in ["smoke.journal.jsonl", "smoke.json"] {
+            assert!(!dir.join(name).exists(), "run with {var} wrote {name}");
+        }
+
+        // Port 1 refuses connections, so a submit that got past the
+        // environment would exit 1, not 2.
+        let out = vmsim_env(&["submit", "--addr", "127.0.0.1:1", &smoke], &env);
+        assert_eq!(out.status.code(), Some(2), "submit with {var}={value}");
+        assert!(stderr_of(&out).contains(var), "submit: {}", stderr_of(&out));
+
+        let out = vmsim_env(&["validate", &smoke], &env);
+        assert_eq!(out.status.code(), Some(1), "validate with {var}={value}");
+        assert!(
+            stderr_of(&out).contains(var),
+            "validate: {}",
+            stderr_of(&out)
+        );
+
+        let (code, err) = serve_exit(&dir, &env, Duration::from_secs(10));
+        assert_eq!(code, Some(2), "serve with {var}={value}: {err}");
+        assert!(err.contains(var), "serve: {err}");
+        assert!(!dir.join("serve.addr").exists(), "serve with {var} bound");
+    }
 }

@@ -191,6 +191,33 @@ fn served_artifacts_match_a_clean_run_and_resubmission_hits_the_cache() {
     assert!(!out.join("serve.addr").exists(), "endpoint file removed");
 }
 
+/// A job whose cell journal can be neither resumed nor created still
+/// runs, but ends like `vmsim run` does in that case: exit 1 with the
+/// journal failure as its message. The result is not cached, so a
+/// resubmission executes again instead of answering as a clean run.
+#[test]
+fn unjournalable_job_fails_and_is_not_cached() {
+    let out = scratch("nojournal");
+    let m = builtin::smoke();
+    let id = format!("{:016x}", vmsim_sim::journal::manifest_hash(&m));
+    std::fs::create_dir_all(out.join(&id).join("smoke.journal.jsonl"))
+        .expect("a directory where the journal goes");
+    let run = start(&config(&out, 8));
+
+    for attempt in 0..2 {
+        let doc = submit_and_wait(&run.addr, &m);
+        assert_eq!(state_of(&doc), Some("done"), "attempt {attempt}");
+        assert_eq!(doc.get("exit").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
+        let message = doc.get("message").and_then(|m| m.as_str()).unwrap_or("");
+        assert!(
+            message.starts_with("FAIL journal") && message.contains("smoke.journal.jsonl"),
+            "message names the journal: {message}"
+        );
+    }
+    run.drain();
+}
+
 /// A full queue answers with the typed `overloaded` rejection — and with
 /// exactly the same bytes on every attempt (deterministic backpressure).
 #[test]

@@ -188,3 +188,42 @@ fn cli_progress_stream_leaves_results_byte_identical_and_reproduces_cadence() {
     }
     assert_eq!(cadences[0], cadences[1], "op-space cadence drifted");
 }
+
+/// Turning the profiler on in the manifest adds the profile artifacts and
+/// keeps the rest of the `obs` block: the trace and the epoch series are
+/// still written in full.
+#[test]
+fn cli_profiled_manifest_keeps_trace_and_series() {
+    let dir = scratch("profiled");
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let smoke = std::fs::read_to_string(root.join("manifests/smoke.json")).expect("smoke.json");
+    let profiled = smoke.replacen("\"profile\": false", "\"profile\": true", 1);
+    assert_ne!(profiled, smoke, "smoke.json has an obs.profile key");
+    // Not `<out>/smoke.json`: that is where the run writes its results.
+    let manifest = dir.join("smoke-profiled.json");
+    std::fs::write(&manifest, profiled).expect("write profiled manifest");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_vmsim"))
+        .env_remove("VMSIM_CHAOS_CELL")
+        .arg("run")
+        .arg(&manifest)
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .expect("spawn vmsim");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let size = |name: &str| std::fs::metadata(dir.join(name)).map_or(0, |m| m.len());
+    for name in [
+        "trace_smoke_0.jsonl",
+        "profile_smoke_0.json",
+        "profile_smoke.folded",
+    ] {
+        assert!(size(name) > 0, "{name} is empty or missing");
+    }
+    let series = std::fs::read_to_string(dir.join("series_smoke_0.csv")).expect("series");
+    assert!(series.lines().count() > 1, "series has no rows: {series:?}");
+}
