@@ -549,6 +549,18 @@ impl ExperimentManifest {
         if self.measure_ops == 0 {
             return Err(ManifestError::new("$.measure_ops", "must be positive"));
         }
+        if self.obs.trace_capacity == 0 {
+            return Err(ManifestError::new(
+                "$.obs.trace_capacity",
+                "must be positive",
+            ));
+        }
+        if self.obs.epoch_ops == Some(0) {
+            return Err(ManifestError::new(
+                "$.obs.epoch_ops",
+                "period must be positive (or null to disable)",
+            ));
+        }
         if let Some(plan) = &self.faults {
             validate_fault_plan(plan, "$.faults")?;
         }
@@ -920,9 +932,10 @@ fn validate_vms(spec: &VmsSpec, ctx: &str) -> Result<()> {
 }
 
 /// Semantic checks on a fault plan: rates are probabilities, periods are
-/// positive, and the reclaim-daemon watermarks satisfy
-/// `0 ≤ threshold ≤ restore_to ≤ 1` (the constructor invariant of
-/// `ptemagnet::ReclaimDaemon`, which plain deserialization would bypass).
+/// positive, the shock order is a buddy order, and the reclaim-daemon
+/// watermarks satisfy `0 ≤ threshold ≤ restore_to ≤ 1` (the constructor
+/// invariant of `ptemagnet::ReclaimDaemon`, which plain deserialization
+/// would bypass).
 fn validate_fault_plan(plan: &FaultPlan, ctx: &str) -> Result<()> {
     let rate = |name: &str, v: f64| -> Result<()> {
         if v.is_finite() && (0.0..=1.0).contains(&v) {
@@ -936,6 +949,12 @@ fn validate_fault_plan(plan: &FaultPlan, ctx: &str) -> Result<()> {
     };
     rate("chunk_fail_rate", plan.chunk_fail_rate)?;
     rate("oom_rate", plan.oom_rate)?;
+    if plan.frag_shock_order > vmsim_os::MAX_ORDER {
+        return Err(ManifestError::new(
+            format!("{ctx}.frag_shock_order"),
+            format!("must be a buddy order in 0..={}", vmsim_os::MAX_ORDER),
+        ));
+    }
     for (name, every) in [
         ("frag_shock_every", plan.frag_shock_every),
         ("reclaim_storm_every", plan.reclaim_storm_every),

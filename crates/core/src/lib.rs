@@ -11,17 +11,22 @@
 //! the [`ReservationAllocator`] takes a *contiguous, aligned* eight-frame
 //! chunk (one buddy order-3 block) from the guest buddy allocator, hands the
 //! faulting page its frame, and records the remaining seven in the
-//! per-process **Page Reservation Table** ([`PaRt`]) — a 4-level radix tree
-//! with fine-grained per-node locking. Subsequent faults in the group are
-//! served straight from the reservation, without touching the buddy
-//! allocator. Guest-physical contiguity at 32 KB granularity is therefore
-//! *guaranteed*, so the eight host PTEs of every group share one cache line
-//! and nested page walks stop missing on scattered host-PT lines.
+//! per-process **Page Reservation Table** ([`PaRt`]) — a lock-free 4-level
+//! radix tree. Subsequent faults in the group are served straight from the
+//! reservation, without touching the buddy allocator. Guest-physical
+//! contiguity at 32 KB granularity is therefore *guaranteed*, so the eight
+//! host PTEs of every group share one cache line and nested page walks stop
+//! missing on scattered host-PT lines.
 //!
 //! Under memory pressure, reserved-but-unused frames are reclaimed by a
 //! daemon ([`ReclaimDaemon`]) that drains the PaRT of a victim process —
 //! a cheap `free()` back to the buddy allocator, never a PT update or TLB
 //! shootdown (§4.3).
+//!
+//! The ablations reuse this mechanism. The granularity sweep (`granular:N`
+//! in [`registry`]) builds the same allocator with 1- to 16-page groups
+//! ([`ReservationAllocator::granular`]), and [`GlobalLockPart`] puts the
+//! PaRT behind one lock for the locking kernels.
 //!
 //! # Examples
 //!
@@ -48,7 +53,6 @@
 
 pub mod ablation;
 pub mod baselines;
-pub mod metrics;
 pub mod part;
 pub mod policy;
 pub mod reclaim;
@@ -56,10 +60,9 @@ pub mod registry;
 pub mod reservation;
 mod sync;
 
-pub use ablation::{GlobalLockPart, GranularReservationAllocator};
+pub use ablation::GlobalLockPart;
 pub use baselines::{CaPagingLike, ThpAllocator};
-pub use metrics::fragmentation_comparison;
-pub use part::{PaRt, ReleaseOutcome, Reservation, TakeOutcome};
+pub use part::{PaRt, ReleaseOutcome, Reservation, TakeOutcome, MAX_GROUP_ORDER};
 pub use policy::EnablePolicy;
 pub use reclaim::ReclaimDaemon;
 pub use registry::UnknownPolicy;

@@ -1,12 +1,14 @@
 //! The Page Reservation Table (PaRT): a lock-free concurrent 4-level radix
 //! tree.
 //!
-//! PaRT tracks one entry per aligned eight-page virtual group that currently
-//! has a physical reservation (paper §4.2). A leaf packs the whole
-//! reservation — base frame plus the 8-bit live mask — into a single
-//! [`AtomicU64`] word, so grants, releases and retirement are one CAS each
-//! and threads faulting into *disjoint groups never contend at all*,
-//! satisfying (and strengthening) the paper's fine-grained-locking
+//! PaRT tracks one entry per aligned virtual group that currently has a
+//! physical reservation (paper §4.2). A group is 2^order pages, with the
+//! order fixed when the table is built: 3 (eight pages, one cache line of
+//! PTEs) for PTEMagnet, 0 to 4 for the granularity ablation. A leaf packs the
+//! whole reservation — base frame plus the live mask, one bit per page —
+//! into a single [`AtomicU64`] word, so grants, releases and retirement are
+//! one CAS each and threads faulting into *disjoint groups never contend at
+//! all*, satisfying (and strengthening) the paper's fine-grained-locking
 //! scalability requirement:
 //!
 //! * **Atomic slot publication.** Interior nodes and leaves are published
@@ -16,10 +18,11 @@
 //! * **CAS install, fused retire.** Installing a reservation is one
 //!   `EMPTY → packed` CAS on the leaf word; granting the last page of a
 //!   group CASes straight to `EMPTY`, so retirement can never be observed
-//!   half-done. A thread that loses an install race parks its
-//!   already-allocated chunk in a small internal spare pool, where the next
-//!   install (or [`PaRt::drain_unused`]) picks it up — no frame is ever
-//!   double-granted or leaked, and the public API is unchanged.
+//!   half-done and a fully-live group is never published. A thread that
+//!   loses an install race parks its already-allocated chunk in a small
+//!   internal spare pool, where the next install (or
+//!   [`PaRt::drain_unused`]) picks it up — no frame is ever double-granted
+//!   or leaked, and the public API is unchanged.
 //! * **Epoch-style reclamation.** [`PaRt::drain_unused`] prunes empty leaf
 //!   nodes: the word is CASed to a `RETIRED` sentinel, the leaf is unlinked
 //!   from its parent slot, and the node itself is freed only after every
@@ -32,14 +35,15 @@
 //! reclaim paths are explored exhaustively over bounded schedules in
 //! `tests/model_check.rs`.
 //!
-//! The tree is indexed by *group number* (virtual page number >> 3), nine
-//! bits per level, covering a 48-bit virtual address space.
+//! The tree is indexed by *group number* (virtual page number >> order),
+//! nine bits per level, covering a 48-bit virtual address space at every
+//! order.
 
 use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrdering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use vmsim_types::{GuestFrame, GROUP_PAGES};
+use vmsim_types::{GuestFrame, GROUP_SHIFT};
 
 use crate::sync::{scan_load, AtomicPtr, AtomicU64, Ordering};
 
@@ -54,24 +58,63 @@ const EMPTY: u64 = 0;
 /// operation that sees this helps unlink the node and re-descends.
 const RETIRED: u64 = u64::MAX;
 
-/// Packs a reservation into a leaf word: `base << 9 | live << 1 | 1`.
-/// Bit 0 distinguishes a present word from `EMPTY`; a present word can never
-/// equal `RETIRED` because fully-live words are retired eagerly (and frame
-/// numbers stay far below 2^55).
+/// One field of the packed leaf word: `bits` wide, starting at bit `shift`.
+#[derive(Clone, Copy)]
+struct BitField {
+    bits: u32,
+    shift: u32,
+}
+
+impl BitField {
+    /// The largest value the field holds.
+    const fn max(self) -> u64 {
+        (1 << self.bits) - 1
+    }
+
+    /// The field's value in `word`.
+    #[inline]
+    const fn get(self, word: u64) -> u64 {
+        (word >> self.shift) & self.max()
+    }
+
+    /// `value` placed in the field, every other bit clear.
+    #[inline]
+    const fn put(self, value: u64) -> u64 {
+        value << self.shift
+    }
+}
+
+/// Set in every present word, so no present word equals `EMPTY`.
+const PRESENT: BitField = BitField { bits: 1, shift: 0 };
+/// The live mask: bit i set ⇒ page i of the group is mapped.
+const LIVE: BitField = BitField { bits: 16, shift: 1 };
+/// The chunk's base frame. `MachineConfig::MAX_FRAMES` is 2^26, far below
+/// this field's range, so no present word equals `RETIRED` either.
+const BASE: BitField = BitField {
+    bits: 47,
+    shift: 17,
+};
+
+/// The largest group order a table supports: 2^4 pages fill the leaf
+/// word's 16-bit live mask.
+pub const MAX_GROUP_ORDER: u32 = 4;
+const _: () = assert!(1 << MAX_GROUP_ORDER == LIVE.bits);
+
+/// Packs a reservation into a leaf word.
 #[inline]
-fn pack(base: u64, live: u8) -> u64 {
-    debug_assert!(base < 1 << 55, "frame number overflows the leaf word");
+fn pack(base: u64, live: u16) -> u64 {
+    debug_assert!(base <= BASE.max(), "frame number overflows the leaf word");
     debug_assert!(live != 0, "present words always have a live page");
-    (base << 9) | (u64::from(live) << 1) | 1
+    BASE.put(base) | LIVE.put(u64::from(live)) | PRESENT.put(1)
 }
 
 /// Inverse of [`pack`].
 #[inline]
-fn unpack(word: u64) -> (u64, u8) {
-    (word >> 9, ((word >> 1) & 0xff) as u8)
+fn unpack(word: u64) -> (u64, u16) {
+    (BASE.get(word), LIVE.get(word) as u16)
 }
 
-/// One reservation: an aligned eight-frame chunk and its usage mask.
+/// One reservation: an aligned chunk of `pages` frames and its usage mask.
 ///
 /// Pages not currently mapped (`live` bit clear) are *owned by the
 /// reservation* — whether never granted or granted and later freed — and
@@ -81,23 +124,25 @@ fn unpack(word: u64) -> (u64, u8) {
 /// (§4.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Reservation {
-    /// Base frame of the chunk (aligned to eight frames).
+    /// Base frame of the chunk (aligned to `pages` frames).
     pub base: GuestFrame,
     /// Bit i set ⇒ page i of the group is currently mapped.
-    pub live: u8,
+    pub live: u16,
+    /// Pages in the group: 2^order of the table holding the reservation.
+    pub pages: u64,
 }
 
 impl Reservation {
     /// Frames of this chunk currently owned by the reservation (not mapped).
     pub fn unused_frames(&self) -> impl Iterator<Item = GuestFrame> + '_ {
-        (0..GROUP_PAGES as u8)
+        (0..self.pages)
             .filter(move |i| self.live & (1 << i) == 0)
-            .map(move |i| GuestFrame::new(self.base.raw() + u64::from(i)))
+            .map(move |i| GuestFrame::new(self.base.raw() + i))
     }
 
     /// Number of frames currently owned by the reservation.
     pub fn unused_count(&self) -> u32 {
-        GROUP_PAGES as u32 - self.live.count_ones()
+        self.pages as u32 - self.live.count_ones()
     }
 }
 
@@ -122,8 +167,8 @@ pub enum ReleaseOutcome {
     NotTracked,
     /// The page was tracked: it returns to the reservation (re-grantable
     /// without a buddy call). If this was the group's last live page, the
-    /// entry was deleted and **all eight frames** of the chunk are returned
-    /// for the caller to hand back to the buddy allocator.
+    /// entry was deleted and **every frame** of the chunk is returned for
+    /// the caller to hand back to the buddy allocator.
     Released {
         /// Frames to return to the buddy allocator (empty unless the entry
         /// was deleted; the whole chunk when it was).
@@ -360,7 +405,8 @@ pub struct PartStats {
     pub hits: u64,
     /// Reservations installed.
     pub installs: u64,
-    /// Entries deleted because all eight pages were granted.
+    /// Entries deleted because every page of the group was granted
+    /// (at order 0, every install).
     pub retired_full: u64,
     /// Entries deleted because the application freed all its pages.
     pub deleted_empty: u64,
@@ -421,11 +467,13 @@ impl vmsim_obs::MetricSource for PartStats {
 /// assert_eq!(part.unused_frames(), 6);
 /// ```
 pub struct PaRt {
+    /// log2 of the pages per group, fixed at construction.
+    order: u32,
     root: Node,
     collector: Collector,
     spare: SparePool,
     /// One-entry leaf cache. Faulting streams hit the same group several
-    /// times in a row (lookup + grant, eight pages per group), making this a
+    /// times in a row (lookup + grant, every page of a group), making this a
     /// near-free shortcut past the radix descent. The cache holds a real
     /// `Arc`, so a cached leaf that was concurrently pruned is still safe to
     /// inspect — its `RETIRED` word sends the operation back down the tree.
@@ -461,9 +509,23 @@ impl core::fmt::Debug for PaRt {
 }
 
 impl PaRt {
-    /// Creates an empty table.
+    /// Creates an empty table of eight-page groups (order [`GROUP_SHIFT`]).
     pub fn new() -> Self {
+        Self::with_order(GROUP_SHIFT)
+    }
+
+    /// Creates an empty table of 2^`order`-page groups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` exceeds [`MAX_GROUP_ORDER`].
+    pub fn with_order(order: u32) -> Self {
+        assert!(
+            order <= MAX_GROUP_ORDER,
+            "group order {order} exceeds {MAX_GROUP_ORDER}"
+        );
         Self {
+            order,
             root: Node::new(),
             collector: Collector::new(),
             spare: SparePool::new(),
@@ -476,6 +538,73 @@ impl PaRt {
             deleted_empty: StdAtomicU64::new(0),
             live_entries: StdAtomicU64::new(0),
             unused_frames: StdAtomicU64::new(0),
+        }
+    }
+
+    /// Pages per group.
+    #[inline]
+    pub fn group_pages(&self) -> u64 {
+        1 << self.order
+    }
+
+    /// The live mask of a group whose every page is mapped.
+    #[inline]
+    fn full_mask(&self) -> u16 {
+        ((1u32 << self.group_pages()) - 1) as u16
+    }
+
+    /// The live-mask bit of page `offset`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is not below [`PaRt::group_pages`].
+    #[inline]
+    fn bit(&self, offset: u64) -> u16 {
+        assert!(
+            offset < self.group_pages(),
+            "offset {offset} out of group range"
+        );
+        1 << offset
+    }
+
+    /// The leaf word after a grant leaves `live` mapped: a full group
+    /// retires in the same CAS (§4.2), so it is never published.
+    #[inline]
+    fn granted(&self, base: u64, live: u16) -> u64 {
+        if live == self.full_mask() {
+            EMPTY
+        } else {
+            pack(base, live)
+        }
+    }
+
+    /// Counts a grant that left `live` mapped, from a reservation it
+    /// `installed` or from an existing one.
+    #[inline]
+    fn count_grant(&self, installed: bool, live: u16) {
+        if installed {
+            self.installs.fetch_add(1, StdOrdering::Relaxed);
+            self.live_entries.fetch_add(1, StdOrdering::Relaxed);
+            self.unused_frames
+                .fetch_add(self.group_pages() - 1, StdOrdering::Relaxed);
+        } else {
+            self.hits.fetch_add(1, StdOrdering::Relaxed);
+            self.unused_frames.fetch_sub(1, StdOrdering::Relaxed);
+        }
+        if live == self.full_mask() {
+            self.live_entries.fetch_sub(1, StdOrdering::Relaxed);
+            self.retired_full.fetch_add(1, StdOrdering::Relaxed);
+        }
+    }
+
+    /// The reservation a present leaf word encodes.
+    #[inline]
+    fn reservation(&self, word: u64) -> Reservation {
+        let (base, live) = unpack(word);
+        Reservation {
+            base: GuestFrame::new(base),
+            live,
+            pages: self.group_pages(),
         }
     }
 
@@ -601,11 +730,12 @@ impl PaRt {
     /// Grants page `offset` of `group`, installing a new reservation from
     /// `chunk_factory` if none exists.
     ///
-    /// `chunk_factory` must return the base of an **aligned eight-frame
-    /// chunk** (a buddy order-3 block), or `None` if no such chunk is
-    /// available (high fragmentation / memory pressure) — in which case
-    /// [`TakeOutcome::Unavailable`] tells the caller to fall back to default
-    /// allocation.
+    /// `chunk_factory` must return the base of an **aligned chunk of one
+    /// group's frames** (a buddy block of the table's order), or `None` if
+    /// no such chunk is available (high fragmentation / memory pressure) —
+    /// in which case [`TakeOutcome::Unavailable`] tells the caller to fall
+    /// back to default allocation. At order 0 the installed reservation is
+    /// full at once: it retires in the same step and is never published.
     ///
     /// The factory is called at most once. If the install CAS then loses a
     /// race, the chunk is parked in the internal spare pool (re-used by the
@@ -614,16 +744,16 @@ impl PaRt {
     ///
     /// # Panics
     ///
-    /// Panics if `offset >= 8` or if the page is already granted and live —
-    /// the OS above guarantees a page faults only while unmapped.
+    /// Panics if `offset` is not below [`PaRt::group_pages`] or if the page
+    /// is already granted and live — the OS above guarantees a page faults
+    /// only while unmapped.
     pub fn take_or_install(
         &self,
         group: u64,
         offset: u64,
         chunk_factory: impl FnOnce() -> Option<GuestFrame>,
     ) -> TakeOutcome {
-        assert!(offset < GROUP_PAGES, "offset {offset} out of group range");
-        let bit = 1u8 << offset;
+        let bit = self.bit(offset);
         let guard = self.collector.pin();
         let mut factory = Some(chunk_factory);
         loop {
@@ -648,21 +778,18 @@ impl PaRt {
                     },
                 };
                 assert_eq!(
-                    base % GROUP_PAGES,
+                    base % self.group_pages(),
                     0,
                     "reservation chunks must be group-aligned"
                 );
                 match leaf.word.compare_exchange(
                     EMPTY,
-                    pack(base, bit),
+                    self.granted(base, bit),
                     Ordering::SeqCst,
                     Ordering::SeqCst,
                 ) {
                     Ok(_) => {
-                        self.installs.fetch_add(1, StdOrdering::Relaxed);
-                        self.live_entries.fetch_add(1, StdOrdering::Relaxed);
-                        self.unused_frames
-                            .fetch_add(GROUP_PAGES - 1, StdOrdering::Relaxed);
+                        self.count_grant(true, bit);
                         return TakeOutcome::FromNewReservation(GuestFrame::new(base + offset));
                     }
                     Err(_) => {
@@ -677,23 +804,17 @@ impl PaRt {
                 "page {offset} of group {group:#x} is already live"
             );
             let new_live = live | bit;
-            let next = if new_live == 0xff {
-                // Fully mapped: retire the entry in the same CAS (§4.2).
-                EMPTY
-            } else {
-                pack(base, new_live)
-            };
             if leaf
                 .word
-                .compare_exchange(word, next, Ordering::SeqCst, Ordering::SeqCst)
+                .compare_exchange(
+                    word,
+                    self.granted(base, new_live),
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                )
                 .is_ok()
             {
-                self.unused_frames.fetch_sub(1, StdOrdering::Relaxed);
-                self.hits.fetch_add(1, StdOrdering::Relaxed);
-                if new_live == 0xff {
-                    self.live_entries.fetch_sub(1, StdOrdering::Relaxed);
-                    self.retired_full.fetch_add(1, StdOrdering::Relaxed);
-                }
+                self.count_grant(false, new_live);
                 return TakeOutcome::FromReservation(GuestFrame::new(base + offset));
             }
         }
@@ -709,10 +830,9 @@ impl PaRt {
     ///
     /// # Panics
     ///
-    /// Panics if `offset >= 8`.
+    /// Panics if `offset` is not below [`PaRt::group_pages`].
     pub fn try_take(&self, group: u64, offset: u64) -> Option<GuestFrame> {
-        assert!(offset < GROUP_PAGES, "offset {offset} out of group range");
-        let bit = 1u8 << offset;
+        let bit = self.bit(offset);
         let guard = self.collector.pin();
         loop {
             let leaf = self.leaf(group, false, &guard)?;
@@ -729,22 +849,17 @@ impl PaRt {
                 return None;
             }
             let new_live = live | bit;
-            let next = if new_live == 0xff {
-                EMPTY
-            } else {
-                pack(base, new_live)
-            };
             if leaf
                 .word
-                .compare_exchange(word, next, Ordering::SeqCst, Ordering::SeqCst)
+                .compare_exchange(
+                    word,
+                    self.granted(base, new_live),
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                )
                 .is_ok()
             {
-                self.unused_frames.fetch_sub(1, StdOrdering::Relaxed);
-                self.hits.fetch_add(1, StdOrdering::Relaxed);
-                if new_live == 0xff {
-                    self.live_entries.fetch_sub(1, StdOrdering::Relaxed);
-                    self.retired_full.fetch_add(1, StdOrdering::Relaxed);
-                }
+                self.count_grant(false, new_live);
                 return Some(GuestFrame::new(base + offset));
             }
         }
@@ -756,8 +871,7 @@ impl PaRt {
     /// the never-granted frames are handed back for the caller to return to
     /// the buddy allocator.
     pub fn release(&self, group: u64, offset: u64) -> ReleaseOutcome {
-        assert!(offset < GROUP_PAGES, "offset {offset} out of group range");
-        let bit = 1u8 << offset;
+        let bit = self.bit(offset);
         let guard = self.collector.pin();
         loop {
             let Some(leaf) = self.leaf(group, false, &guard) else {
@@ -796,11 +910,11 @@ impl PaRt {
                 // The application freed all its pages in this group: the
                 // entry dies and every frame of the chunk goes back to the
                 // caller.
-                let unused: Vec<GuestFrame> = (0..GROUP_PAGES)
-                    .map(|i| GuestFrame::new(base + i))
-                    .collect();
+                let pages = self.group_pages();
+                let unused: Vec<GuestFrame> =
+                    (0..pages).map(|i| GuestFrame::new(base + i)).collect();
                 self.unused_frames
-                    .fetch_sub(GROUP_PAGES - 1, StdOrdering::Relaxed);
+                    .fetch_sub(pages - 1, StdOrdering::Relaxed);
                 self.live_entries.fetch_sub(1, StdOrdering::Relaxed);
                 self.deleted_empty.fetch_add(1, StdOrdering::Relaxed);
                 return ReleaseOutcome::Released {
@@ -829,23 +943,20 @@ impl PaRt {
             if word == EMPTY {
                 return None;
             }
-            let (base, live) = unpack(word);
-            return Some(Reservation {
-                base: GuestFrame::new(base),
-                live,
-            });
+            return Some(self.reservation(word));
         }
     }
 
     /// Visits every live reservation (in unspecified order).
     pub fn for_each(&self, mut f: impl FnMut(u64, &Reservation)) {
         let guard = self.collector.pin();
-        Self::visit(&self.root, 0, 0, &guard, &mut f);
+        self.visit(&self.root, 0, 0, &guard, &mut f);
     }
 
     /// Tree walk behind [`PaRt::for_each`]: `_guard` pins the epoch for the
     /// leaves dereferenced along the way.
     fn visit(
+        &self,
         node: &Node,
         level: usize,
         prefix: u64,
@@ -860,20 +971,13 @@ impl PaRt {
             if level < DEPTH - 1 {
                 // Safety: interior nodes are never reclaimed.
                 let child = unsafe { &*ptr.cast_const().cast::<Node>() };
-                Self::visit(child, level + 1, (prefix << 9) | i as u64, _guard, f);
+                self.visit(child, level + 1, (prefix << 9) | i as u64, _guard, f);
             } else {
                 // Safety: `_guard` pins the epoch.
                 let leaf = unsafe { &*ptr.cast_const().cast::<LeafNode>() };
                 let word = leaf.word.load(Ordering::SeqCst);
                 if word != EMPTY && word != RETIRED {
-                    let (base, live) = unpack(word);
-                    f(
-                        (prefix << 9) | i as u64,
-                        &Reservation {
-                            base: GuestFrame::new(base),
-                            live,
-                        },
-                    );
+                    f((prefix << 9) | i as u64, &self.reservation(word));
                 }
             }
         }
@@ -890,7 +994,7 @@ impl PaRt {
     pub fn drain_unused(&self, mut release_frame: impl FnMut(GuestFrame) -> bool) -> u64 {
         let guard = self.collector.pin();
         let mut groups: Vec<u64> = Vec::new();
-        Self::visit(&self.root, 0, 0, &guard, &mut |group, res| {
+        self.visit(&self.root, 0, 0, &guard, &mut |group, res| {
             if res.unused_count() > 0 {
                 groups.push(group);
             }
@@ -906,12 +1010,7 @@ impl PaRt {
                 if word == EMPTY || word == RETIRED {
                     break;
                 }
-                let (base, live) = unpack(word);
-                let res = Reservation {
-                    base: GuestFrame::new(base),
-                    live,
-                };
-                let unused: Vec<GuestFrame> = res.unused_frames().collect();
+                let unused: Vec<GuestFrame> = self.reservation(word).unused_frames().collect();
                 if unused.is_empty() {
                     break;
                 }
@@ -941,7 +1040,7 @@ impl PaRt {
         }
         if !stop {
             while let Some(base) = self.spare.pop() {
-                for i in 0..GROUP_PAGES {
+                for i in 0..self.group_pages() {
                     drained += 1;
                     if !release_frame(GuestFrame::new(base + i)) {
                         stop = true;
@@ -1028,12 +1127,7 @@ impl PaRt {
             if word == EMPTY {
                 return Vec::new();
             }
-            let (base, live) = unpack(word);
-            let res = Reservation {
-                base: GuestFrame::new(base),
-                live,
-            };
-            let unused: Vec<GuestFrame> = res.unused_frames().collect();
+            let unused: Vec<GuestFrame> = self.reservation(word).unused_frames().collect();
             if leaf
                 .word
                 .compare_exchange(word, EMPTY, Ordering::SeqCst, Ordering::SeqCst)
@@ -1124,6 +1218,7 @@ impl Drop for PaRt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmsim_types::GROUP_PAGES;
 
     fn chunk(base: u64) -> impl FnOnce() -> Option<GuestFrame> {
         move || Some(GuestFrame::new(base))
@@ -1238,6 +1333,30 @@ mod tests {
     fn misaligned_chunk_panics() {
         let part = PaRt::new();
         part.take_or_install(3, 0, chunk(5));
+    }
+
+    #[test]
+    fn order_zero_install_retires_at_once() {
+        let part = PaRt::with_order(0);
+        let got = part.take_or_install(5, 0, chunk(5));
+        assert_eq!(got, TakeOutcome::FromNewReservation(GuestFrame::new(5)));
+        let s = part.stats();
+        assert_eq!((s.installs, s.retired_full), (1, 1));
+        assert_eq!((s.live_entries, s.unused_frames), (0, 0));
+        assert!(part.peek(5).is_none(), "a full group is never published");
+        assert_eq!(part.release(5, 0), ReleaseOutcome::NotTracked);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of group range")]
+    fn offset_beyond_the_order_panics() {
+        PaRt::with_order(1).take_or_install(0, 2, chunk(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn orders_above_the_live_mask_are_refused() {
+        PaRt::with_order(MAX_GROUP_ORDER + 1);
     }
 
     #[test]

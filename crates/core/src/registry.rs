@@ -5,21 +5,22 @@
 //! [`resolve`], so adding a policy means adding one arm here — not a new
 //! enum variant in the harness and not a new binary.
 //!
-//! | Name             | Allocator                                          |
-//! |------------------|----------------------------------------------------|
-//! | `default`        | [`vmsim_os::DefaultAllocator`] (order-0 buddy)     |
-//! | `ptemagnet`      | [`ReservationAllocator`] (the paper's mechanism)   |
-//! | `thp`            | [`ThpAllocator`] (THP=always, §2.3 baseline)       |
-//! | `ca-paging-like` | [`CaPagingLike`] (best-effort contiguity, §7)      |
-//! | `granular:N`     | [`GranularReservationAllocator`] with N-page groups|
+//! | Name             | Allocator                                            |
+//! |------------------|------------------------------------------------------|
+//! | `default`        | [`vmsim_os::DefaultAllocator`] (order-0 buddy)       |
+//! | `ptemagnet`      | [`ReservationAllocator`] (the paper's mechanism)     |
+//! | `thp`            | [`ThpAllocator`] (THP=always, §2.3 baseline)         |
+//! | `ca-paging-like` | [`CaPagingLike`] (best-effort contiguity, §7)        |
+//! | `granular:N`     | [`ReservationAllocator::granular`] at order log2 N   |
 //!
 //! `N` in `granular:N` must be a power of two in 1..=16 (the granularity
-//! ablation's sweep); `granular:8` matches PTEMagnet's group size.
+//! ablation's sweep). `granular:8` is PTEMagnet under another label, so
+//! `granular:1` to `granular:16` differ from it only in group size.
 
 use vmsim_os::{DefaultAllocator, GuestFrameAllocator};
 
-use crate::ablation::GranularReservationAllocator;
 use crate::baselines::{CaPagingLike, ThpAllocator};
+use crate::part::MAX_GROUP_ORDER;
 use crate::reservation::ReservationAllocator;
 
 /// A policy name the registry cannot resolve.
@@ -67,18 +68,17 @@ pub fn resolve(name: &str) -> Result<Box<dyn GuestFrameAllocator>, UnknownPolicy
         "thp" => Ok(Box::new(ThpAllocator::new())),
         "ca-paging-like" => Ok(Box::new(CaPagingLike::new())),
         _ => {
-            if let Some(pages) = name.strip_prefix("granular:") {
-                if let Ok(n) = pages.parse::<u64>() {
-                    if n.is_power_of_two() && (1..=16).contains(&n) {
-                        return Ok(Box::new(GranularReservationAllocator::new(
-                            n.trailing_zeros(),
-                        )));
-                    }
+            let pages = name
+                .strip_prefix("granular:")
+                .and_then(|n| n.parse::<u64>().ok());
+            match pages {
+                Some(n) if n.is_power_of_two() && n.trailing_zeros() <= MAX_GROUP_ORDER => {
+                    Ok(Box::new(ReservationAllocator::granular(n.trailing_zeros())))
                 }
+                _ => Err(UnknownPolicy {
+                    name: name.to_string(),
+                }),
             }
-            Err(UnknownPolicy {
-                name: name.to_string(),
-            })
         }
     }
 }
@@ -97,6 +97,18 @@ mod tests {
             } else {
                 assert_eq!(alloc.name(), name);
             }
+        }
+    }
+
+    #[test]
+    fn granular_n_reserves_n_page_groups() {
+        for n in [1u64, 2, 4, 8, 16] {
+            // The first fault reserves a whole N-page group.
+            let mut alloc = resolve(&format!("granular:{n}")).expect("resolves");
+            let mut buddy = vmsim_os::GuestBuddy::new(64);
+            let page = vmsim_types::GuestVirtPage::new(0);
+            alloc.allocate(vmsim_os::Pid(1), page, &mut buddy).unwrap();
+            assert_eq!(alloc.reserved_unused_frames(), n - 1, "granular:{n}");
         }
     }
 

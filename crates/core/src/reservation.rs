@@ -1,11 +1,17 @@
 //! The PTEMagnet reservation allocator (paper §4.1–§4.2).
 //!
 //! Plugs into the guest OS through [`GuestFrameAllocator`]. On the first
-//! fault to an eight-page group it takes an aligned order-3 chunk from the
-//! buddy allocator, grants the faulting page, and parks the rest in the
-//! process's [`PaRt`]. Later faults in the group are PaRT hits — no buddy
-//! call at all, which is why allocation gets (slightly) *faster* with
-//! PTEMagnet (§6.4) while guaranteeing guest-physical contiguity.
+//! fault to a group of 2^order pages it takes an aligned chunk of that
+//! order from the buddy allocator, grants the faulting page, and parks the
+//! rest in the process's [`PaRt`]. Later faults in the group are PaRT hits
+//! — no buddy call at all, which is why allocation gets (slightly) *faster*
+//! with PTEMagnet (§6.4) while guaranteeing guest-physical contiguity.
+//!
+//! PTEMagnet's order is 3 (eight pages, one cache line of PTEs, §4.1). The
+//! granularity ablation builds the same allocator at orders 0 to 4
+//! ([`ReservationAllocator::granular`]), so every hook — the §4.3 daemon,
+//! the §4.4 swap target, fork inheritance, exit drain and metrics — is the
+//! same at every group size.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,9 +19,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vmsim_os::{AllocCost, GuestBuddy, GuestFrameAllocator, Pid};
-use vmsim_types::{GuestFrame, GuestVirtPage, MemError, Result, GROUP_SHIFT};
+use vmsim_types::{GuestFrame, GuestVirtPage, Result, GROUP_SHIFT};
 
-use crate::part::{PaRt, ReleaseOutcome, TakeOutcome};
+use crate::part::{PaRt, ReleaseOutcome, TakeOutcome, MAX_GROUP_ORDER};
 use crate::policy::EnablePolicy;
 
 /// Cumulative counters of the reservation allocator.
@@ -23,7 +29,7 @@ use crate::policy::EnablePolicy;
 pub struct ReservationStats {
     /// Faults served from an existing reservation (fast path).
     pub reservation_hits: u64,
-    /// New reservations installed (order-3 buddy allocations).
+    /// New reservations installed (buddy allocations of the group order).
     pub reservations_created: u64,
     /// Faults that fell back to order-0 allocation (no aligned chunk
     /// available, or PTEMagnet disabled for the process by policy).
@@ -50,10 +56,10 @@ impl vmsim_obs::MetricSource for ReservationStats {
 
 /// The PTEMagnet guest frame allocator.
 ///
-/// Each process owns a [`PaRt`]; forked children additionally hold `Arc`
-/// references to their ancestors' tables so a child fault can be served from
-/// a parent reservation, while children never *create* reservations in the
-/// parent's table (§4.4).
+/// Each process owns a [`PaRt`] of the allocator's group order; forked
+/// children additionally hold `Arc` references to their ancestors' tables so
+/// a child fault can be served from a parent reservation, while children
+/// never *create* reservations in the parent's table (§4.4).
 ///
 /// # Examples
 ///
@@ -75,6 +81,10 @@ impl vmsim_obs::MetricSource for ReservationStats {
 /// ```
 #[derive(Debug)]
 pub struct ReservationAllocator {
+    /// log2 of the pages per reservation group, shared by every table.
+    order: u32,
+    /// Report label (see [`GuestFrameAllocator::name`]).
+    name: &'static str,
     /// Per-process reservation tables.
     parts: HashMap<Pid, Arc<PaRt>>,
     /// Ancestor tables visible to each process (fork inheritance chain).
@@ -107,6 +117,8 @@ impl ReservationAllocator {
     /// Creates an allocator with a conditional enablement policy.
     pub fn with_policy(policy: EnablePolicy) -> Self {
         Self {
+            order: GROUP_SHIFT,
+            name: "ptemagnet",
             parts: HashMap::new(),
             inherited: HashMap::new(),
             policy,
@@ -114,6 +126,25 @@ impl ReservationAllocator {
             chunk_owner: HashMap::new(),
             stats: ReservationStats::default(),
             rng: StdRng::seed_from_u64(0x9e37_79b9),
+        }
+    }
+
+    /// Creates the granularity ablation's allocator: PTEMagnet with
+    /// 2^`order`-page groups, labelled `granular-reservation`. At order
+    /// [`GROUP_SHIFT`] it is [`ReservationAllocator::new`] under that label.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` exceeds [`MAX_GROUP_ORDER`].
+    pub fn granular(order: u32) -> Self {
+        assert!(
+            order <= MAX_GROUP_ORDER,
+            "group order {order} exceeds {MAX_GROUP_ORDER}"
+        );
+        Self {
+            order,
+            name: "granular-reservation",
+            ..Self::new()
         }
     }
 
@@ -139,11 +170,22 @@ impl ReservationAllocator {
     }
 
     fn part(&mut self, pid: Pid) -> Arc<PaRt> {
+        let order = self.order;
         Arc::clone(
             self.parts
                 .entry(pid)
-                .or_insert_with(|| Arc::new(PaRt::new())),
+                .or_insert_with(|| Arc::new(PaRt::with_order(order))),
         )
+    }
+
+    /// The group holding `vpn` and the page's offset in it.
+    fn locate(&self, vpn: GuestVirtPage) -> (u64, u64) {
+        (vpn.raw() >> self.order, vpn.raw() & ((1 << self.order) - 1))
+    }
+
+    /// The base of the aligned chunk holding `gfn`.
+    fn chunk_of(&self, gfn: GuestFrame) -> u64 {
+        gfn.raw() & !((1 << self.order) - 1)
     }
 
     fn fallback(&mut self, buddy: &mut GuestBuddy) -> Result<(GuestFrame, AllocCost)> {
@@ -162,7 +204,7 @@ impl ReservationAllocator {
 
 impl GuestFrameAllocator for ReservationAllocator {
     fn name(&self) -> &'static str {
-        "ptemagnet"
+        self.name
     }
 
     fn emit_metrics(&self, reg: &mut vmsim_obs::Registry) {
@@ -184,8 +226,7 @@ impl GuestFrameAllocator for ReservationAllocator {
         if !self.policy.enabled(self.memory_limits.get(&pid).copied()) {
             return self.fallback(buddy);
         }
-        let group = vpn.group_id();
-        let offset = vpn.group_offset();
+        let (group, offset) = self.locate(vpn);
 
         // A child first consults ancestor tables (§4.4): if the page is
         // covered by a live parental reservation and not itself mapped by
@@ -233,14 +274,15 @@ impl GuestFrameAllocator for ReservationAllocator {
         // group's leaf lock, exactly like the kernel patch calls the buddy
         // allocator from the fault handler.
         let mut buddy_calls = 0u32;
+        let order = self.order;
         let outcome = part.take_or_install(group, offset, || {
             buddy_calls += 1;
-            match buddy.alloc(GROUP_SHIFT) {
+            match buddy.alloc(order) {
                 Ok(base) => {
                     // Reservations are handed back frame-by-frame later, so
-                    // convert the order-3 bookkeeping to order-0 pieces now.
+                    // convert the chunk's bookkeeping to order-0 pieces now.
                     buddy
-                        .fragment_allocation(base, GROUP_SHIFT)
+                        .fragment_allocation(base, order)
                         .expect("freshly allocated chunk can be fragmented");
                     Some(base)
                 }
@@ -261,8 +303,7 @@ impl GuestFrameAllocator for ReservationAllocator {
             }
             TakeOutcome::FromNewReservation(gfn) => {
                 self.stats.reservations_created += 1;
-                self.chunk_owner
-                    .insert(gfn.raw() & !(vmsim_types::GROUP_PAGES - 1), (pid, group));
+                self.chunk_owner.insert(self.chunk_of(gfn), (pid, group));
                 Ok((
                     gfn,
                     AllocCost {
@@ -287,8 +328,7 @@ impl GuestFrameAllocator for ReservationAllocator {
         gfn: GuestFrame,
         buddy: &mut GuestBuddy,
     ) -> Result<()> {
-        let group = vpn.group_id();
-        let offset = vpn.group_offset();
+        let (group, offset) = self.locate(vpn);
         // The page may be tracked by the process's own table or an
         // ancestor's (if granted from an inherited reservation).
         let own = self.parts.get(&pid);
@@ -391,7 +431,7 @@ impl GuestFrameAllocator for ReservationAllocator {
     }
 
     fn on_frame_targeted(&mut self, gfn: GuestFrame, buddy: &mut GuestBuddy) -> u64 {
-        let chunk = gfn.raw() & !(vmsim_types::GROUP_PAGES - 1);
+        let chunk = self.chunk_of(gfn);
         let Some(&(pid, group)) = self.chunk_owner.get(&chunk) else {
             return 0;
         };
@@ -441,15 +481,10 @@ impl GuestFrameAllocator for ReservationAllocator {
     }
 }
 
-/// A convenience error kept for API completeness: currently unused paths
-/// return standard [`MemError`] values.
-#[doc(hidden)]
-pub type ReservationError = MemError;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmsim_types::GROUP_PAGES;
+    use vmsim_types::{MemError, GROUP_PAGES};
 
     fn setup() -> (ReservationAllocator, GuestBuddy) {
         (ReservationAllocator::new(), GuestBuddy::new(1024))
@@ -735,5 +770,123 @@ mod tests {
         }
         assert_eq!(a.reserved_unused_frames(), 7 * 8);
         assert_eq!(buddy.free_frames(), 1024 - 64);
+    }
+
+    #[test]
+    fn one_page_groups_behave_like_default() {
+        let mut a = ReservationAllocator::granular(0);
+        let mut default = vmsim_os::DefaultAllocator::new();
+        let (mut buddy, mut default_buddy) = (GuestBuddy::new(64), GuestBuddy::new(64));
+        let (f, cost) = a
+            .allocate(Pid(1), GuestVirtPage::new(0), &mut buddy)
+            .unwrap();
+        assert_eq!(cost.buddy_calls, 1);
+        assert_eq!(a.reserved_unused_frames(), 0);
+        let (g, _) = default
+            .allocate(Pid(1), GuestVirtPage::new(0), &mut default_buddy)
+            .unwrap();
+        assert_eq!(f, g, "the same frame as the default kernel");
+        a.free(Pid(1), GuestVirtPage::new(0), f, &mut buddy)
+            .unwrap();
+        assert_eq!(buddy.free_frames(), 64);
+    }
+
+    #[test]
+    fn sixteen_page_groups_reserve_sixteen() {
+        let mut a = ReservationAllocator::granular(4);
+        let mut buddy = GuestBuddy::new(64);
+        let (f0, _) = a
+            .allocate(Pid(1), GuestVirtPage::new(0), &mut buddy)
+            .unwrap();
+        assert_eq!(buddy.free_frames(), 48);
+        assert_eq!(a.reserved_unused_frames(), 15);
+        let (f5, cost) = a
+            .allocate(Pid(1), GuestVirtPage::new(5), &mut buddy)
+            .unwrap();
+        assert!(cost.reservation_hit);
+        assert_eq!(f5.raw(), f0.raw() + 5);
+    }
+
+    #[test]
+    fn contiguity_holds_under_interleaving_at_each_order() {
+        for order in 1..=MAX_GROUP_ORDER {
+            let pages = 1u64 << order;
+            let mut a = ReservationAllocator::granular(order);
+            let mut buddy = GuestBuddy::new(1024);
+            let mut frames = Vec::new();
+            for vpn in 0..pages {
+                let (f, _) = a
+                    .allocate(Pid(1), GuestVirtPage::new(vpn), &mut buddy)
+                    .unwrap();
+                // Interleave a churner.
+                a.allocate(Pid(2), GuestVirtPage::new(1000 + vpn * 100), &mut buddy)
+                    .unwrap();
+                frames.push(f.raw());
+            }
+            assert!(
+                frames.windows(2).all(|w| w[1] == w[0] + 1),
+                "order {order} keeps groups contiguous"
+            );
+        }
+    }
+
+    #[test]
+    fn free_cycle_is_leak_free_at_each_order() {
+        for order in 0..=MAX_GROUP_ORDER {
+            let pages = 1u64 << order;
+            let mut a = ReservationAllocator::granular(order);
+            let mut buddy = GuestBuddy::new(256);
+            let mut got = Vec::new();
+            for vpn in 0..pages + 3 {
+                got.push((
+                    vpn,
+                    a.allocate(Pid(1), GuestVirtPage::new(vpn), &mut buddy)
+                        .unwrap()
+                        .0,
+                ));
+            }
+            for (vpn, f) in got {
+                a.free(Pid(1), GuestVirtPage::new(vpn), f, &mut buddy)
+                    .unwrap();
+            }
+            assert_eq!(buddy.free_frames(), 256, "order {order} leaks");
+        }
+    }
+
+    /// Host- and guest-PT fragmentation of process `a` after it and a second
+    /// process fault 64 pages each in lockstep.
+    fn interleaved_fragmentation(mut m: vmsim_os::Machine) -> (f64, f64) {
+        use vmsim_types::GuestVirtAddr;
+        let a = m.guest_mut().spawn();
+        let b = m.guest_mut().spawn();
+        let va_a = m.guest_mut().mmap(a, 64).unwrap();
+        let va_b = m.guest_mut().mmap(b, 64).unwrap();
+        for i in 0..64 {
+            m.touch(0, a, GuestVirtAddr::new(va_a.raw() + i * 4096), false)
+                .unwrap();
+            m.touch(1, b, GuestVirtAddr::new(va_b.raw() + i * 4096), false)
+                .unwrap();
+        }
+        (
+            m.host_pt_fragmentation(a).unwrap().mean(),
+            m.guest_pt_fragmentation(a).unwrap().mean(),
+        )
+    }
+
+    #[test]
+    fn interleaved_faulting_keeps_host_fragmentation_at_one() {
+        let (host, guest) = interleaved_fragmentation(vmsim_os::Machine::with_allocator(
+            vmsim_os::MachineConfig::small(),
+            Box::new(ReservationAllocator::new()),
+        ));
+        assert!((host - 1.0).abs() < 1e-9, "got {host}");
+        assert!((guest - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn interleaved_faulting_fragments_the_default_kernel() {
+        let (host, guest) =
+            interleaved_fragmentation(vmsim_os::Machine::new(vmsim_os::MachineConfig::small()));
+        assert!(host / guest > 1.5, "got {}", host / guest);
     }
 }

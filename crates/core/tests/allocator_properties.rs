@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use ptemagnet::ReservationAllocator;
+use ptemagnet::{ReservationAllocator, MAX_GROUP_ORDER};
 use vmsim_os::{GuestBuddy, GuestFrameAllocator, Pid};
 use vmsim_types::{GuestFrame, GuestVirtPage, GROUP_PAGES};
 
@@ -29,10 +29,11 @@ proptest! {
 
     #[test]
     fn reservation_allocator_conserves_frames(
+        order in 0..=MAX_GROUP_ORDER,
         ops in prop::collection::vec(op_strategy(), 1..200)
     ) {
         let total = 1024u64;
-        let mut alloc = ReservationAllocator::new();
+        let mut alloc = ReservationAllocator::granular(order);
         let mut buddy = GuestBuddy::new(total);
         // (pid, vpn) -> granted frame.
         let mut live: HashMap<(u64, u64), GuestFrame> = HashMap::new();

@@ -10,11 +10,15 @@
 //!
 //! * CAS **install** (two faulting threads racing an empty group),
 //! * fused **retire** (two threads granting the last two pages),
+//! * the **order-0 install**, which retires its one-page group at once,
 //! * **release vs. take** (entry deletion racing a new fault),
 //! * **reclaim** (leaf pruning racing an install into the pruned group),
 //! * **harvest** (the reclaim daemon's [`PaRt::drain_unused`] racing a
 //!   fault, a release, and the fused final-grant retire — no frame may be
 //!   both granted and harvested, and live pages are never drained).
+//!
+//! Install and retire run at group order 3 (eight pages) and at order 4,
+//! where the live mask fills all 16 bits.
 //!
 //! `naive_read_then_write_install_is_caught` and
 //! `naive_harvest_blind_store_is_caught` are the negative controls: each
@@ -47,67 +51,110 @@ fn frame_of(out: TakeOutcome) -> u64 {
 /// Two threads fault into the same empty group with distinct chunk
 /// factories. Exactly one install may win; the loser's chunk must be parked
 /// in the spare pool, both grants must come from the winning chunk, and no
-/// frame may be granted twice — under every interleaving.
+/// frame may be granted twice — under every interleaving, at eight- and
+/// sixteen-page groups.
 #[test]
 fn install_race_has_a_single_winner() {
-    loom::model(|| {
-        let part = Arc::new(PaRt::new());
-        let calls = Arc::new(StdAtomicU64::new(0));
-        let part2 = Arc::clone(&part);
-        let calls2 = Arc::clone(&calls);
-        let t = loom::thread::spawn(move || {
-            frame_of(part2.take_or_install(3, 1, || {
-                calls2.fetch_add(1, StdOrdering::Relaxed);
-                Some(GuestFrame::new(8))
-            }))
+    for order in [3, 4] {
+        let pages = 1u64 << order;
+        loom::model(move || {
+            let part = Arc::new(PaRt::with_order(order));
+            let calls = Arc::new(StdAtomicU64::new(0));
+            let part2 = Arc::clone(&part);
+            let calls2 = Arc::clone(&calls);
+            let t = loom::thread::spawn(move || {
+                frame_of(part2.take_or_install(3, 1, || {
+                    calls2.fetch_add(1, StdOrdering::Relaxed);
+                    Some(GuestFrame::new(pages))
+                }))
+            });
+            let a = frame_of(part.take_or_install(3, 0, || {
+                calls.fetch_add(1, StdOrdering::Relaxed);
+                Some(GuestFrame::new(2 * pages))
+            }));
+            let b = t.join().unwrap();
+            assert_ne!(a, b, "no frame granted twice");
+            let s = part.stats();
+            assert_eq!(s.installs, 1, "exactly one install wins");
+            assert_eq!(s.hits, 1, "the loser is served from the winner's entry");
+            assert_eq!(s.live_entries, 1);
+            assert_eq!(s.unused_frames, pages - 2);
+            // Both grants come from the single tracked chunk.
+            let res = part.peek(3).expect("entry live");
+            assert_eq!(res.live, 0b11);
+            assert_eq!(a, res.base.raw(), "offset 0 grant");
+            assert_eq!(b, res.base.raw() + 1, "offset 1 grant");
+            // Chunk conservation: every chunk the factories allocated is
+            // either the installed one or parked in the spare pool — never
+            // leaked.
+            assert_eq!(
+                calls.load(StdOrdering::Relaxed),
+                s.installs + part.spare_chunks().len() as u64,
+                "allocated chunks = installs + parked spares"
+            );
         });
-        let a = frame_of(part.take_or_install(3, 0, || {
-            calls.fetch_add(1, StdOrdering::Relaxed);
-            Some(GuestFrame::new(16))
-        }));
-        let b = t.join().unwrap();
-        assert_ne!(a, b, "no frame granted twice");
-        let s = part.stats();
-        assert_eq!(s.installs, 1, "exactly one install wins");
-        assert_eq!(s.hits, 1, "the loser is served from the winner's entry");
-        assert_eq!(s.live_entries, 1);
-        assert_eq!(s.unused_frames, 6);
-        // Both grants come from the single tracked chunk.
-        let base = part.peek(3).expect("entry live").base.raw();
-        assert_eq!(a, base, "offset 0 grant");
-        assert_eq!(b, base + 1, "offset 1 grant");
-        // Chunk conservation: every chunk the factories allocated is either
-        // the installed one or parked in the spare pool — never leaked.
-        assert_eq!(
-            calls.load(StdOrdering::Relaxed),
-            s.installs + part.spare_chunks().len() as u64,
-            "allocated chunks = installs + parked spares"
-        );
-    });
+    }
 }
 
 /// Two threads grant the last two pages of a nearly-full group. Whichever
 /// CAS completes the mask retires the entry in the same step: retirement
-/// must happen exactly once and the entry must be gone afterwards.
+/// must happen exactly once and the entry must be gone afterwards — for the
+/// 8-bit mask and for the full 16-bit one.
 #[test]
 fn concurrent_final_grants_retire_exactly_once() {
+    for order in [3, 4] {
+        let pages = 1u64 << order;
+        loom::model(move || {
+            let part = Arc::new(PaRt::with_order(order));
+            part.take_or_install(1, 0, || Some(GuestFrame::new(0)));
+            for off in 1..pages - 2 {
+                part.take_or_install(1, off, || panic!("entry exists"));
+            }
+            assert_eq!(part.peek(1).expect("entry live").unused_count(), 2);
+            let part2 = Arc::clone(&part);
+            let t = loom::thread::spawn(move || {
+                frame_of(part2.take_or_install(1, pages - 2, || unreachable!()))
+            });
+            let a = frame_of(part.take_or_install(1, pages - 1, || unreachable!()));
+            let b = t.join().unwrap();
+            assert_eq!(
+                (a, b),
+                (pages - 1, pages - 2),
+                "grants come from the reserved chunk"
+            );
+            let s = part.stats();
+            assert_eq!(s.retired_full, 1, "the full entry retires exactly once");
+            assert_eq!(s.live_entries, 0);
+            assert_eq!(s.unused_frames, 0);
+            assert!(part.peek(1).is_none(), "retired entry is gone");
+        });
+    }
+}
+
+/// At order 0 a group is one page, so an install grants the whole group:
+/// it retires in the same step and the entry is never published. Two
+/// threads faulting the same one-page group therefore each install and
+/// retire their own chunk, under every interleaving — nothing is shared,
+/// parked or left behind.
+#[test]
+fn order_zero_install_retires_at_once() {
     loom::model(|| {
-        let part = Arc::new(PaRt::new());
-        part.take_or_install(1, 0, || Some(GuestFrame::new(0)));
-        for off in 1..6 {
-            part.take_or_install(1, off, || panic!("entry exists"));
-        }
+        let part = Arc::new(PaRt::with_order(0));
         let part2 = Arc::clone(&part);
-        let t =
-            loom::thread::spawn(move || frame_of(part2.take_or_install(1, 6, || unreachable!())));
-        let a = frame_of(part.take_or_install(1, 7, || unreachable!()));
+        let t = loom::thread::spawn(move || {
+            frame_of(part2.take_or_install(9, 0, || Some(GuestFrame::new(8))))
+        });
+        let a = frame_of(part.take_or_install(9, 0, || Some(GuestFrame::new(16))));
         let b = t.join().unwrap();
-        assert_eq!((a, b), (7, 6), "grants come from the reserved chunk");
+        assert_eq!((a, b), (16, 8), "each fault gets its own chunk");
         let s = part.stats();
-        assert_eq!(s.retired_full, 1, "the full entry retires exactly once");
+        assert_eq!(s.installs, 2, "both faults install");
+        assert_eq!(s.retired_full, 2, "and both installs retire at once");
+        assert_eq!(s.hits, 0);
         assert_eq!(s.live_entries, 0);
         assert_eq!(s.unused_frames, 0);
-        assert!(part.peek(1).is_none(), "retired entry is gone");
+        assert!(part.peek(9).is_none(), "a full group is never published");
+        assert!(part.spare_chunks().is_empty(), "no install lost a race");
     });
 }
 

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use ptemagnet::{PaRt, ReleaseOutcome, TakeOutcome};
+use ptemagnet::{PaRt, ReleaseOutcome, TakeOutcome, MAX_GROUP_ORDER};
 use vmsim_types::{GuestFrame, GROUP_PAGES};
 
 #[derive(Clone, Debug)]
@@ -13,11 +13,22 @@ enum Op {
     Release { group: u64, offset: u64 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn op_strategy(pages: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (0u64..24, 0u64..8).prop_map(|(group, offset)| Op::Take { group, offset }),
-        2 => (0u64..24, 0u64..8).prop_map(|(group, offset)| Op::Release { group, offset }),
+        3 => (0u64..24, 0..pages).prop_map(|(group, offset)| Op::Take { group, offset }),
+        2 => (0u64..24, 0..pages).prop_map(|(group, offset)| Op::Release { group, offset }),
     ]
+}
+
+/// A group order from 0 to [`MAX_GROUP_ORDER`] and operations on groups of
+/// that many pages.
+fn ordered_ops() -> impl Strategy<Value = (u32, Vec<Op>)> {
+    (0..=MAX_GROUP_ORDER).prop_flat_map(|order| {
+        (
+            Just(order),
+            prop::collection::vec(op_strategy(1 << order), 1..250),
+        )
+    })
 }
 
 /// Flat model of one reservation: base and live mask (non-live pages are
@@ -25,22 +36,24 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 #[derive(Clone, Copy, Debug)]
 struct ModelRes {
     base: u64,
-    live: u8,
+    live: u16,
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn part_matches_flat_model(ops in prop::collection::vec(op_strategy(), 1..250)) {
-        let part = PaRt::new();
+    fn part_matches_flat_model((order, ops) in ordered_ops()) {
+        let part = PaRt::with_order(order);
+        let pages = 1u64 << order;
+        let full = ((1u32 << pages) - 1) as u16;
         let mut model: HashMap<u64, ModelRes> = HashMap::new();
         let mut next_chunk = 0u64;
 
         for op in ops {
             match op {
                 Op::Take { group, offset } => {
-                    let bit = 1u8 << offset;
+                    let bit = 1u16 << offset;
                     let model_entry = model.get(&group).copied();
                     // Skip operations the OS contract forbids (double
                     // grant of a live page).
@@ -58,7 +71,7 @@ proptest! {
                                 TakeOutcome::FromReservation(GuestFrame::new(m.base + offset))
                             );
                             m.live |= bit;
-                            if m.live == 0xff {
+                            if m.live == full {
                                 model.remove(&group);
                             } else {
                                 model.insert(group, m);
@@ -71,19 +84,23 @@ proptest! {
                                     chunk_base + offset
                                 ))
                             );
-                            next_chunk += GROUP_PAGES;
-                            model.insert(
-                                group,
-                                ModelRes {
-                                    base: chunk_base,
-                                    live: bit,
-                                },
-                            );
+                            next_chunk += pages;
+                            // A one-page group is full at install and is
+                            // never published.
+                            if bit != full {
+                                model.insert(
+                                    group,
+                                    ModelRes {
+                                        base: chunk_base,
+                                        live: bit,
+                                    },
+                                );
+                            }
                         }
                     }
                 }
                 Op::Release { group, offset } => {
-                    let bit = 1u8 << offset;
+                    let bit = 1u16 << offset;
                     let out = part.release(group, offset);
                     match model.get(&group).copied() {
                         Some(mut m) if m.live & bit != 0 => {
@@ -91,7 +108,7 @@ proptest! {
                             if m.live == 0 {
                                 // Entry death returns the whole chunk.
                                 let expected_unused: Vec<u64> =
-                                    (0..8u64).map(|i| m.base + i).collect();
+                                    (0..pages).map(|i| m.base + i).collect();
                                 match out {
                                     ReleaseOutcome::Released {
                                         unused_frames,
@@ -127,7 +144,7 @@ proptest! {
             prop_assert_eq!(part.live_entries() as usize, model.len());
             let model_unused: u64 = model
                 .values()
-                .map(|m| GROUP_PAGES - u64::from(m.live.count_ones()))
+                .map(|m| pages - u64::from(m.live.count_ones()))
                 .sum();
             prop_assert_eq!(part.unused_frames(), model_unused);
         }

@@ -52,3 +52,4 @@ pub use host::HostOs;
 pub use machine::{Machine, MachineConfig, MemoStats, ShapeError, TouchOutcome};
 pub use process::{Pid, Process};
 pub use vma::{Vma, VmaSet};
+pub use vmsim_buddy::MAX_ORDER;

@@ -436,6 +436,54 @@ fn manifest_missing_a_formerly_optional_key_is_rejected() {
 }
 
 #[test]
+fn values_that_cannot_run_as_written_are_refused_up_front() {
+    // Each edit of smoke.json used to pass `validate`. A zero epoch period
+    // made the sampler loop until memory ran out, a zero trace ring kept
+    // one event anyway, and a shock order above the buddy's top order ran
+    // as that top order. `validate` is asserted first, so a regression
+    // fails here instead of exhausting memory in `run`.
+    let dir = scratch("unrunnable");
+    let smoke = smoke_json();
+    let shock = "\"faults\": {\"seed\": 1, \"chunk_fail_rate\": 0.0, \"oom_rate\": 0.0, \
+                 \"frag_shock_every\": 100, \"frag_shock_order\": 40, \
+                 \"reclaim_storm_every\": null, \"reclaim_storm_frames\": 0, \
+                 \"swap_out_every\": null, \"daemon_threshold\": null, \
+                 \"daemon_restore_to\": null}";
+    let cases = [
+        (
+            "epoch-ops",
+            smoke.replace("\"epoch_ops\": 1000", "\"epoch_ops\": 0"),
+            "$.obs.epoch_ops",
+        ),
+        (
+            "trace-capacity",
+            smoke.replace("\"trace_capacity\": 65536", "\"trace_capacity\": 0"),
+            "$.obs.trace_capacity",
+        ),
+        (
+            "frag-shock-order",
+            smoke.replacen("\"faults\": null", shock, 1),
+            "$.faults.frag_shock_order",
+        ),
+    ];
+    for (tag, body, path) in cases {
+        assert_ne!(body, smoke, "{tag}: the edit applies");
+        let file = write_manifest(&dir, &format!("{tag}.json"), &body);
+        let out = vmsim(&["validate", &file]);
+        assert_eq!(out.status.code(), Some(1), "vmsim validate, {tag}");
+        assert!(stderr_of(&out).contains(path), "{tag}: {}", stderr_of(&out));
+        let out_dir = dir.join(tag);
+        let out = vmsim(&["run", &file, "--out", &out_dir.to_string_lossy()]);
+        assert_eq!(out.status.code(), Some(2), "vmsim run, {tag}");
+        assert!(stderr_of(&out).contains(path), "{tag}: {}", stderr_of(&out));
+        assert!(
+            !out_dir.join("smoke.journal.jsonl").exists(),
+            "{tag}: a refused run leaves no journal"
+        );
+    }
+}
+
+#[test]
 fn validate_accepts_every_builtin_and_shipped_manifest() {
     // The happy path that CI leans on: every checked-in manifest
     // (including pressure) validates cleanly by name.

@@ -172,6 +172,6 @@ fn registry_policies_are_bit_identical_to_hand_constructed_allocators() {
         (guest.allocator().name(), served)
     };
     let via_name = faults(ptemagnet::registry::resolve("granular:8").expect("registered"));
-    let by_hand = faults(Box::new(ptemagnet::GranularReservationAllocator::new(3)));
+    let by_hand = faults(Box::new(ptemagnet::ReservationAllocator::granular(3)));
     assert_eq!(via_name, by_hand, "granular:8 != order-3 reservation");
 }
