@@ -1,6 +1,6 @@
 //! The manifest execution engine: runs an [`ExperimentManifest`] on the
-//! worker pool under panic supervision and assembles the paper-typed
-//! result.
+//! worker pool under panic supervision. A matrix run's result is its cells;
+//! [`crate::report::render`] writes its report from them.
 //!
 //! This is the single path every experiment takes: `vmsim run`, `vmsim
 //! serve` and the library entry points [`run_manifest`] /
@@ -9,11 +9,11 @@
 //! (`index = (w·P + p)·S + s`); jobs run on the deterministic pool
 //! ([`crate::parallel`]) and come back in job order, so a run is
 //! bit-identical at any worker count and to the same cells run serially.
-//! The two special kinds are assembled here: [`sec64`] (the §6.4
-//! allocation-latency microbenchmark, a first-touch loop on a bare
-//! machine) and [`walk_breakdown`] (two [`Scenario`] runs whose primary
-//! core's per-level counters are the result; the objdet co-runner is
-//! seeded `seed·31 + 1`, the scenario rule).
+//! The two special kinds run here: [`sec64`] (the §6.4 allocation-latency
+//! microbenchmark, a first-touch loop on a bare machine) and
+//! [`walk_breakdown`] (two [`Scenario`] runs whose primary core's
+//! per-level counters are the result; the objdet co-runner is seeded
+//! `seed·31 + 1`, the scenario rule).
 //!
 //! Each cell runs inside its own `catch_unwind`: a panicking or resource-
 //! exhausted cell is **quarantined** — recorded as a [`CellRun`] carrying
@@ -39,11 +39,11 @@ use ptemagnet::UnknownPolicy;
 use vmsim_cache::MemCounters;
 use vmsim_config::{
     ChaosPlan, ExperimentManifest, ExperimentSpec, ManifestError, MatrixSpec, PolicySpec,
-    ReportKind, SimConfig, SupervisorSpec, WorkloadSpec,
+    SimConfig, SupervisorSpec, WorkloadSpec,
 };
 use vmsim_obs::{json, Event, EventKind, Metric, MetricSource};
 use vmsim_os::{GuestOs, Machine, MachineConfig, ShapeError};
-use vmsim_types::{GuestVirtAddr, GuestVirtPage, MemError, RunError, PAGE_SIZE};
+use vmsim_types::{GuestVirtAddr, MemError, RunError, PAGE_SIZE};
 use vmsim_workloads::{BenchId, CoId};
 
 use crate::fleet;
@@ -51,12 +51,8 @@ use crate::journal::{self, Journal, JournalEntry};
 use crate::obs::{ObsConfig, ObservedRun};
 use crate::parallel::{self, Parallelism};
 use crate::progress::Progress;
-use crate::report::{
-    self, AllocLatency, BenchPair, FigureSweep, HwSensitivityRow, ReservedUnused, Table1, Table4,
-    ThpRow, ThpStudy,
-};
+use crate::report::{self, AllocLatency};
 use crate::scenario::{AllocatorKind, CellBudget, RunMetrics, Scenario};
-use crate::stats::Replication;
 
 /// Why a manifest could not be executed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,99 +86,16 @@ impl From<UnknownPolicy> for DriverError {
     }
 }
 
-/// §6.1 run-to-run variance: one [`Replication`] per policy, paired by
-/// seed.
-#[derive(Clone, Debug)]
-pub struct VarianceStudy {
-    /// Baseline-policy runs, in seed order.
-    pub base: Replication,
-    /// Contender-policy runs, in seed order.
-    pub ptemagnet: Replication,
-}
-
-/// One (workload, policy) cell of a pressure study: how a policy degrades
-/// under that workload's fault plan, relative to the same policy under the
-/// first (least-faulted) workload.
-#[derive(Clone, Debug)]
-pub struct PressureRow {
-    /// Workload display label (typically encodes the fault severity).
-    pub workload: String,
-    /// Policy name.
-    pub policy: String,
-    /// Measured steady-state cycles (seed 0).
-    pub cycles: u64,
-    /// Execution-time degradation vs the first workload, same policy
-    /// (positive = slower under faults).
-    pub slowdown: f64,
-    /// Allocations denied by the fault injector.
-    pub faults_injected: u64,
-    /// Reservation faults degraded to single-frame fallbacks.
-    pub reservation_fallbacks: u64,
-    /// Frames released by reclaim (daemon, storms, swap-out hooks).
-    pub reclaimed_frames: u64,
-}
-
-/// One (workload, policy) cell of a multi-tenant colocation sweep: how a
-/// policy behaves when the workload's VM fleet shares one overcommitted
-/// host, relative to the first (baseline) policy under the same fleet.
-#[derive(Clone, Debug)]
-pub struct ColocationRow {
-    /// Workload display label (typically encodes fleet size and churn).
-    pub workload: String,
-    /// Policy name.
-    pub policy: String,
-    /// VM fleet size.
-    pub vms: u32,
-    /// Whether the fleet ran under VM churn.
-    pub churn: bool,
-    /// Measured steady-state cycles of VM 0's benchmark (seed 0).
-    pub cycles: u64,
-    /// Execution-time improvement vs the first policy, same fleet
-    /// (positive = faster).
-    pub improvement: f64,
-    /// Host-PT fragmentation of the measured VM after its allocation
-    /// phase.
-    pub host_frag: f64,
-    /// Guest page faults taken fleet-wide over the whole run.
-    pub total_faults: u64,
-}
-
-/// The typed result a manifest's report kind aggregates its runs into.
+/// What a manifest run holds besides its matrix cells.
 #[derive(Clone, Debug)]
 pub enum Outcome {
-    /// Generic per-run listing.
-    Runs,
-    /// Per-run CSV dump.
-    Csv,
-    /// Paper Table 1.
-    Table1(Table1),
-    /// Paper Table 4.
-    Table4(Table4),
-    /// Paper Figures 5–7 (which one is in the manifest's report kind).
-    Figure(FigureSweep),
-    /// Paper §6.2 reserved-unused incidence.
-    Sec62(Vec<ReservedUnused>),
-    /// THP study (§2.3).
-    Thp(ThpStudy),
-    /// §6.1 zero-overhead check: per-benchmark mean improvement.
-    Specint(Vec<(String, f64)>),
-    /// §6.1 run-to-run variance.
-    Variance(VarianceStudy),
-    /// LLC-capacity sweep: (LLC MB, improvement) pairs.
-    Llc(Vec<(u64, f64)>),
-    /// Hardware-sensitivity sweep.
-    Hw(Vec<HwSensitivityRow>),
+    /// A matrix run: its result is [`ManifestRun::cells`], and
+    /// [`report::render`] writes its report from their metrics.
+    Matrix,
     /// §6.4 allocation-latency microbenchmark.
     AllocLatency(AllocLatency),
     /// §1/§3.2 walk-source breakdown.
     Breakdown(Vec<(String, MemCounters)>),
-    /// Graceful-degradation study under fault injection, workload-major.
-    Pressure(Vec<PressureRow>),
-    /// Multi-tenant colocation sweep (VM count x churn x policy),
-    /// workload-major.
-    Colocation(Vec<ColocationRow>),
-    /// At least one cell was quarantined; no aggregate result exists.
-    Degraded,
 }
 
 /// A matrix cell executed in this process: its observed run plus its
@@ -352,7 +265,7 @@ pub struct Supervisor<'a> {
 }
 
 /// A fully executed manifest: the input, every supervised cell (matrix
-/// kinds), the supervisor's tally, and the aggregated outcome.
+/// kinds), the supervisor's tally, and the special kinds' payload.
 #[derive(Debug)]
 pub struct ManifestRun {
     /// The manifest that was executed (after any environment override).
@@ -364,7 +277,7 @@ pub struct ManifestRun {
     /// Supervisor trace events (`cell_quarantined`, `cell_retried`,
     /// `run_resumed`), deterministic in cell-index order.
     pub supervisor_events: Vec<Event>,
-    /// The aggregated, report-kind-typed result.
+    /// The special kinds' payload, or the matrix marker.
     pub outcome: Outcome,
 }
 
@@ -496,8 +409,8 @@ fn sim_path(
 ///
 /// Returns [`DriverError`] if the manifest fails validation or a policy
 /// does not resolve. Matrix cells never panic out of this function: a
-/// failing cell is quarantined into its [`CellRun`] and the outcome
-/// becomes [`Outcome::Degraded`].
+/// failing cell is quarantined into its [`CellRun`] and counted in
+/// [`Supervision::quarantined`].
 ///
 /// # Panics
 ///
@@ -579,21 +492,12 @@ fn run_matrix(
         })
         .collect();
     let (supervision, supervisor_events) = supervise(&cells);
-    let outcome = if cells.iter().any(|c| c.data.is_err()) {
-        Outcome::Degraded
-    } else {
-        let metrics: Vec<RunMetrics> = cells
-            .iter()
-            .map(|c| c.metrics().expect("no cell failed").clone())
-            .collect();
-        assemble(manifest, matrix, &metrics)
-    };
     Ok(ManifestRun {
         manifest: manifest.clone(),
         cells,
         supervision,
         supervisor_events,
-        outcome,
+        outcome: Outcome::Matrix,
     })
 }
 
@@ -800,241 +704,6 @@ fn supervise(cells: &[CellRun]) -> (Supervision, Vec<Event>) {
     (sv, events)
 }
 
-/// The colocation label a figure sweep reports: the shared co-runner name,
-/// `combination` for several, `standalone` for none, `mixed` if workloads
-/// disagree.
-fn colocation_label(workloads: &[WorkloadSpec]) -> String {
-    let first = workloads
-        .first()
-        .map(|w| w.corunners.clone())
-        .unwrap_or_default();
-    if workloads.iter().any(|w| w.corunners != first) {
-        return "mixed".to_string();
-    }
-    match first.len() {
-        0 => "standalone".to_string(),
-        1 => first[0].clone(),
-        _ => "combination".to_string(),
-    }
-}
-
-fn assemble(manifest: &ExperimentManifest, matrix: &MatrixSpec, metrics: &[RunMetrics]) -> Outcome {
-    let (pn, sn) = (matrix.policies.len(), manifest.seeds.len());
-    let at = |w: usize, p: usize, s: usize| &metrics[(w * pn + p) * sn + s];
-    match matrix.report {
-        ReportKind::Runs => Outcome::Runs,
-        ReportKind::Csv => Outcome::Csv,
-        ReportKind::Pressure => {
-            let mut rows = Vec::new();
-            for (w, workload) in matrix.workloads.iter().enumerate() {
-                for (p, policy) in matrix.policies.iter().enumerate() {
-                    let m = at(w, p, 0);
-                    let base = at(0, p, 0);
-                    rows.push(PressureRow {
-                        workload: workload.display_label(),
-                        policy: policy.name().to_string(),
-                        cycles: m.cycles,
-                        slowdown: m.cycles as f64 / base.cycles.max(1) as f64 - 1.0,
-                        faults_injected: m.faults_injected,
-                        reservation_fallbacks: m.reservation_fallbacks,
-                        reclaimed_frames: m.reclaimed_frames,
-                    });
-                }
-            }
-            Outcome::Pressure(rows)
-        }
-        ReportKind::Table1 => Outcome::Table1(Table1 {
-            standalone: at(0, 0, 0).clone(),
-            colocated: at(1, 0, 0).clone(),
-        }),
-        ReportKind::Table4 => Outcome::Table4(Table4 {
-            default: at(0, 0, 0).clone(),
-            ptemagnet: at(0, 1, 0).clone(),
-        }),
-        ReportKind::Fig5 | ReportKind::Fig6 | ReportKind::Fig7 => Outcome::Figure(FigureSweep {
-            colocation: colocation_label(&matrix.workloads),
-            pairs: matrix
-                .workloads
-                .iter()
-                .enumerate()
-                .map(|(w, workload)| BenchPair {
-                    name: workload.benchmark.clone(),
-                    default: at(w, 0, 0).clone(),
-                    ptemagnet: at(w, 1, 0).clone(),
-                })
-                .collect(),
-        }),
-        ReportKind::Sec62 => Outcome::Sec62(
-            matrix
-                .workloads
-                .iter()
-                .enumerate()
-                .map(|(w, workload)| {
-                    let m = at(w, 0, 0);
-                    ReservedUnused {
-                        name: workload.benchmark.clone(),
-                        peak_fraction: m.reserved_unused_fraction(),
-                        mean_fraction: if m.footprint_pages == 0 {
-                            0.0
-                        } else {
-                            m.reserved_unused_mean / m.footprint_pages as f64
-                        },
-                    }
-                })
-                .collect(),
-        ),
-        ReportKind::Thp => {
-            let mut rows = Vec::new();
-            for (w, workload) in matrix.workloads.iter().enumerate() {
-                let default = at(w, 0, 0);
-                for (p, policy) in matrix.policies.iter().enumerate() {
-                    let metrics = at(w, p, 0);
-                    rows.push(ThpRow {
-                        allocator: policy.name().to_string(),
-                        condition: workload.display_label(),
-                        improvement: metrics.improvement_over(default),
-                        metrics: metrics.clone(),
-                    });
-                }
-            }
-            Outcome::Thp(ThpStudy {
-                rows,
-                sparse_rss_per_touched: sparse_rss(&matrix.policies),
-            })
-        }
-        ReportKind::Specint => Outcome::Specint(
-            matrix
-                .workloads
-                .iter()
-                .enumerate()
-                .map(|(w, workload)| {
-                    let mean = (0..sn)
-                        .map(|s| at(w, 1, s).improvement_over(at(w, 0, s)))
-                        .sum::<f64>()
-                        / sn as f64;
-                    (workload.benchmark.clone(), mean)
-                })
-                .collect(),
-        ),
-        ReportKind::Variance => Outcome::Variance(VarianceStudy {
-            base: Replication {
-                runs: (0..sn).map(|s| at(0, 0, s).clone()).collect(),
-            },
-            ptemagnet: Replication {
-                runs: (0..sn).map(|s| at(0, 1, s).clone()).collect(),
-            },
-        }),
-        ReportKind::Llc => Outcome::Llc(
-            matrix
-                .workloads
-                .iter()
-                .enumerate()
-                .map(|(w, workload)| {
-                    let mb = workload
-                        .sim
-                        .and_then(|s| s.llc_mb)
-                        .expect("llc manifest pre-validated");
-                    (mb, at(w, 1, 0).improvement_over(at(w, 0, 0)))
-                })
-                .collect(),
-        ),
-        ReportKind::Colocation => {
-            let mut rows = Vec::new();
-            for (w, workload) in matrix.workloads.iter().enumerate() {
-                let spec = workload
-                    .vms
-                    .or(manifest.vms)
-                    .expect("colocation manifest pre-validated");
-                let base = at(w, 0, 0);
-                for (p, policy) in matrix.policies.iter().enumerate() {
-                    let m = at(w, p, 0);
-                    rows.push(ColocationRow {
-                        workload: workload.display_label(),
-                        policy: policy.name().to_string(),
-                        vms: spec.count,
-                        churn: spec.churn_period_ops.is_some(),
-                        cycles: m.cycles,
-                        improvement: m.improvement_over(base),
-                        host_frag: m.host_frag,
-                        total_faults: m.total_faults,
-                    });
-                }
-            }
-            Outcome::Colocation(rows)
-        }
-        ReportKind::Hw => Outcome::Hw(
-            matrix
-                .workloads
-                .iter()
-                .enumerate()
-                .map(|(w, workload)| {
-                    let sim = workload.sim.unwrap_or_default();
-                    let (knob, value) = match sim.stlb_entries {
-                        Some(v) => ("stlb", v),
-                        None => (
-                            "nested-tlb",
-                            sim.nested_tlb_entries.expect("hw manifest pre-validated"),
-                        ),
-                    };
-                    let base = at(w, 0, 0);
-                    HwSensitivityRow {
-                        knob: knob.to_string(),
-                        value,
-                        tlb_miss_ratio: base.tlb_misses as f64 / base.tlb_lookups.max(1) as f64,
-                        improvement: at(w, 1, 0).improvement_over(base),
-                    }
-                })
-                .collect(),
-        ),
-    }
-}
-
-/// The THP study's sparse-touch microbenchmark: touch every 8th page of a
-/// large VMA and report resident pages per touched page, one value per
-/// policy (THP's hidden internal-fragmentation cost).
-fn sparse_rss(policies: &[PolicySpec]) -> [f64; 3] {
-    let sparse = |policy: &PolicySpec| -> f64 {
-        let allocator = ptemagnet::registry::resolve(policy.name()).expect("policy pre-resolved");
-        let mut m = Machine::with_allocator(MachineConfig::paper(1, 128), allocator);
-        let pid = m.guest_mut().spawn();
-        let base = m.guest_mut().mmap(pid, 8192).expect("mmap");
-        let touched = 8192 / 8;
-        for i in 0..touched {
-            m.touch(
-                0,
-                pid,
-                GuestVirtAddr::new(base.raw() + i * 8 * PAGE_SIZE),
-                true,
-            )
-            .expect("touch");
-        }
-        m.guest().process(pid).expect("pid").rss_pages as f64 / touched as f64
-    };
-    let values = parallel::run_indexed(Parallelism::from_env(), policies.len(), |i| {
-        sparse(&policies[i])
-    });
-    [values[0], values[1], values[2]]
-}
-
-/// The §6.2 adversarial microbenchmark: an application touching only every
-/// eighth page reserves ~7× its footprint. Returns the report line.
-fn sec62_adversarial() -> String {
-    let mut guest = GuestOs::new(1 << 16, Box::new(ptemagnet::ReservationAllocator::new()));
-    let pid = guest.spawn();
-    let va = guest.mmap(pid, 4096).expect("mmap");
-    for g in 0..512u64 {
-        guest
-            .page_fault(pid, GuestVirtPage::new(va.page().raw() + g * 8))
-            .expect("fault");
-    }
-    let unused = guest.allocator().reserved_unused_frames();
-    format!(
-        "\nAdversarial every-8th-page app: footprint 512 pages, reserved-unused {} pages ({}x)\n",
-        unused,
-        unused / 512
-    )
-}
-
 /// The §6.4 VM for an array of `pages`: room for the array plus page
 /// tables (8 frames a page, at least 64 MB).
 ///
@@ -1115,253 +784,26 @@ impl ManifestRun {
             .collect()
     }
 
-    fn report_kind(&self) -> Option<ReportKind> {
-        match &self.manifest.experiment {
-            ExperimentSpec::Matrix(matrix) => Some(matrix.report),
-            _ => None,
-        }
-    }
-
     /// Renders the result as the paper-style text `vmsim run` prints. A
-    /// degraded run gets a per-cell status listing; any run with
-    /// quarantined/retried/truncated cells gets the supervisor summary
-    /// appended (clean runs are byte-identical to before).
+    /// run with quarantined cells gets a per-cell status listing; any other
+    /// run with retried or truncated cells gets the supervisor summary
+    /// appended to its report (clean runs are byte-identical to before).
     pub fn report(&self) -> String {
-        let mut text = self.outcome_report();
-        if !self.supervision.is_clean() && !matches!(self.outcome, Outcome::Degraded) {
-            text.push_str(&self.supervision_summary());
-        }
-        text
-    }
-
-    fn outcome_report(&self) -> String {
         match &self.outcome {
-            Outcome::Degraded => self.degraded_listing(),
-            Outcome::Runs => self.runs_listing(),
-            Outcome::Csv => report::runs_to_csv(&self.metrics()),
-            Outcome::Table1(t) => report::format_table1(t),
-            Outcome::Table4(t) => report::format_table4(t),
-            Outcome::Figure(sweep) => match self.report_kind() {
-                Some(ReportKind::Fig5) => report::format_fig5(sweep),
-                Some(ReportKind::Fig7) => format!(
-                    "{}\n{}",
-                    report::format_improvement_figure(sweep, "Figure 7"),
-                    report::figure_as_bars(sweep)
-                ),
-                _ => format!(
-                    "{}\n{}",
-                    report::format_improvement_figure(sweep, "Figure 6"),
-                    report::figure_as_bars(sweep)
-                ),
-            },
-            Outcome::Sec62(rows) => {
-                format!("{}{}", report::format_sec62(rows), sec62_adversarial())
-            }
-            Outcome::Thp(study) => report::format_thp(study),
-            Outcome::Specint(rows) => {
-                let mut out = String::new();
-                let _ = writeln!(
-                    out,
-                    "Zero-overhead check: low-TLB-pressure SPECint + objdet"
-                );
-                let _ = writeln!(out, "{:<12} {:>12}", "benchmark", "improvement");
-                let mut worst = f64::INFINITY;
-                for (name, imp) in rows {
-                    let _ = writeln!(out, "{name:<12} {:>+11.2}%", imp * 100.0);
-                    worst = worst.min(*imp);
-                }
-                let _ = writeln!(
-                    out,
-                    "\nWorst case: {:+.2}% — {}",
-                    worst * 100.0,
-                    if worst > -0.01 {
-                        "PTEMagnet never slows anything down (paper's claim holds)"
-                    } else {
-                        "REGRESSION: the zero-overhead claim failed"
-                    }
-                );
-                out
-            }
-            Outcome::Variance(v) => self.variance_report(v),
-            Outcome::Llc(rows) => {
-                let mut out = String::new();
-                let _ = writeln!(out, "{}", self.manifest.description);
-                let _ = writeln!(out, "{:<8} {:>12}", "LLC", "improvement");
-                for (mb, imp) in rows {
-                    let _ = writeln!(out, "{:<8} {:>+11.1}%", format!("{mb} MB"), imp * 100.0);
-                }
-                out
-            }
-            Outcome::Hw(rows) => {
-                let mut out = String::new();
-                let _ = writeln!(out, "{}", self.manifest.description);
-                let _ = writeln!(
-                    out,
-                    "{:<12} {:>8} {:>10} {:>12}",
-                    "knob", "entries", "tlb-miss", "improvement"
-                );
-                for row in rows {
-                    let _ = writeln!(
-                        out,
-                        "{:<12} {:>8} {:>9.1}% {:>+11.1}%",
-                        row.knob,
-                        row.value,
-                        row.tlb_miss_ratio * 100.0,
-                        row.improvement * 100.0
-                    );
-                }
-                out
-            }
-            Outcome::Pressure(rows) => {
-                let mut out = String::new();
-                let _ = writeln!(out, "{}", self.manifest.description);
-                let _ = writeln!(
-                    out,
-                    "{:<16} {:<12} {:>14} {:>10} {:>10} {:>10} {:>10}",
-                    "workload",
-                    "policy",
-                    "cycles",
-                    "slowdown",
-                    "injected",
-                    "fallbacks",
-                    "reclaimed"
-                );
-                for row in rows {
-                    let _ = writeln!(
-                        out,
-                        "{:<16} {:<12} {:>14} {:>+9.1}% {:>10} {:>10} {:>10}",
-                        row.workload,
-                        row.policy,
-                        row.cycles,
-                        row.slowdown * 100.0,
-                        row.faults_injected,
-                        row.reservation_fallbacks,
-                        row.reclaimed_frames
-                    );
-                }
-                out
-            }
-            Outcome::Colocation(rows) => {
-                let mut out = String::new();
-                let _ = writeln!(out, "{}", self.manifest.description);
-                let _ = writeln!(
-                    out,
-                    "{:<20} {:<12} {:>5} {:>6} {:>14} {:>12} {:>10} {:>12}",
-                    "fleet",
-                    "policy",
-                    "vms",
-                    "churn",
-                    "cycles",
-                    "improvement",
-                    "host-frag",
-                    "faults"
-                );
-                for row in rows {
-                    let _ = writeln!(
-                        out,
-                        "{:<20} {:<12} {:>5} {:>6} {:>14} {:>+11.1}% {:>10.3} {:>12}",
-                        row.workload,
-                        row.policy,
-                        row.vms,
-                        if row.churn { "on" } else { "off" },
-                        row.cycles,
-                        row.improvement * 100.0,
-                        row.host_frag,
-                        row.total_faults
-                    );
-                }
-                out
-            }
             Outcome::AllocLatency(r) => report::format_sec64(r),
-            Outcome::Breakdown(rows) => {
-                let mut out = String::new();
-                for (allocator, counters) in rows {
-                    out.push_str(&report::format_breakdown(allocator, counters));
-                    let ratio = if counters.guest_pt.memory == 0 {
-                        f64::INFINITY
-                    } else {
-                        counters.host_pt.memory as f64 / counters.guest_pt.memory as f64
-                    };
-                    let _ = writeln!(
-                        out,
-                        "-> host-PT DRAM accesses are {ratio:.1}x the guest-PT's (paper: 4.4x under colocation)\n"
-                    );
+            Outcome::Breakdown(rows) => rows
+                .iter()
+                .map(|(allocator, counters)| report::format_breakdown(allocator, counters))
+                .collect(),
+            Outcome::Matrix if self.supervision.quarantined > 0 => self.degraded_listing(),
+            Outcome::Matrix => {
+                let mut text = report::render(&self.manifest, &self.metrics());
+                if !self.supervision.is_clean() {
+                    text.push_str(&self.supervision_summary());
                 }
-                out
+                text
             }
         }
-    }
-
-    fn variance_report(&self, v: &VarianceStudy) -> String {
-        let (label, policies) = match &self.manifest.experiment {
-            ExperimentSpec::Matrix(matrix) => (
-                matrix.workloads[0].display_label(),
-                (
-                    matrix.policies[0].name().to_string(),
-                    matrix.policies[1].name().to_string(),
-                ),
-            ),
-            _ => unreachable!("variance is a matrix report"),
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Variance study: {label} across {} seeds, {} ops each",
-            self.manifest.seeds.len(),
-            self.manifest.measure_ops
-        );
-        let _ = writeln!(
-            out,
-            "{:<11} {:>10} {:>22}",
-            "allocator", "cv", "improvement (mean±sd)"
-        );
-        let _ = writeln!(
-            out,
-            "{:<11} {:>9.2}% {:>22}",
-            policies.0,
-            v.base.cycles().cv() * 100.0,
-            "-"
-        );
-        let imp = v.ptemagnet.improvement_over(&v.base);
-        let _ = writeln!(
-            out,
-            "{:<11} {:>9.2}% {:>14.1}% ± {:.1}%",
-            policies.1,
-            v.ptemagnet.cycles().cv() * 100.0,
-            imp.mean * 100.0,
-            imp.stddev * 100.0
-        );
-        let _ = writeln!(
-            out,
-            "\nPaper: execution-time stddev over 40 runs <= 2%. Measured cv: {:.2}% / {:.2}%.",
-            v.base.cycles().cv() * 100.0,
-            v.ptemagnet.cycles().cv() * 100.0
-        );
-        out
-    }
-
-    fn runs_listing(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.manifest.description);
-        let _ = writeln!(
-            out,
-            "{:<24} {:<14} {:>6} {:>14} {:>10}",
-            "workload", "policy", "seed", "cycles", "host-frag"
-        );
-        self.for_each_cell(|workload, policy, seed, cell| {
-            if let Some(m) = cell.metrics() {
-                let _ = writeln!(
-                    out,
-                    "{:<24} {:<14} {:>6} {:>14} {:>10.3}",
-                    workload.display_label(),
-                    policy.name(),
-                    seed,
-                    m.cycles,
-                    m.host_frag
-                );
-            }
-        });
-        out
     }
 
     /// The report for a run with quarantined cells: a per-cell status
@@ -1466,7 +908,7 @@ impl ManifestRun {
                 }
                 out.push_str("  ]\n");
             }
-            _ => {
+            Outcome::Matrix => {
                 if self.cells.is_empty() {
                     out.push_str("  \"runs\": []");
                 } else {
@@ -1627,7 +1069,7 @@ mod tests {
     fn smoke_manifest_runs_and_serializes() {
         let run = run_manifest(&builtin::smoke()).expect("smoke manifest");
         assert_eq!(run.cells.len(), 2);
-        assert!(matches!(run.outcome, Outcome::Runs));
+        assert!(matches!(run.outcome, Outcome::Matrix));
         assert!(run.supervision.is_clean());
         assert!(run.supervisor_events.is_empty());
         // Observability was on; metrics stay bit-identical regardless.
@@ -1658,7 +1100,6 @@ mod tests {
             progress: None,
         };
         let run = run_supervised(&manifest, &sup).expect("degraded run");
-        assert!(matches!(run.outcome, Outcome::Degraded));
         assert_eq!(run.supervision.quarantined, 1);
         let err = run.cells[1].error().expect("cell 1 quarantined");
         assert_eq!(err.kind(), "machine_panic");
@@ -1717,9 +1158,8 @@ mod tests {
             progress: None,
         };
         let run = run_supervised(&manifest, &sup).expect("recovered run");
-        assert!(matches!(run.outcome, Outcome::Runs), "not degraded");
         assert_eq!(run.cells[0].attempts, 2);
-        assert_eq!(run.supervision.quarantined, 0);
+        assert_eq!(run.supervision.quarantined, 0, "not degraded");
         assert_eq!(run.supervision.retried, 1);
         assert_eq!(
             run.supervisor_events,

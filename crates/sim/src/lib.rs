@@ -18,10 +18,10 @@
 //!   fleet — manifest cells, `vmsim perf` cells and the walk breakdown
 //!   alike;
 //! * [`driver`] — the manifest execution engine: expands a
-//!   `vmsim_config::ExperimentManifest` into scenario runs on the worker
-//!   pool and assembles the typed, paper-shaped outcome. Every experiment
-//!   goes through it: `vmsim run manifests/<name>.json` is the one way to
-//!   regenerate a table or figure of the paper;
+//!   `vmsim_config::ExperimentManifest` into supervised scenario runs on
+//!   the worker pool, one per matrix cell, and runs the two special kinds.
+//!   Every experiment goes through it: `vmsim run manifests/<name>.json`
+//!   is the one way to regenerate a table or figure of the paper;
 //! * [`obs`] — scenario-level observability: the [`ObsConfig`] knobs
 //!   (re-exported from `vmsim-config`; set by a manifest's `obs` block)
 //!   and the [`ObservedRun`] wrapper carrying snapshot, epoch time series,
@@ -29,9 +29,9 @@
 //! * [`parallel`] — deterministic worker pool fanning independent runs
 //!   (seeds, benchmarks) across cores; results come back in job order, so
 //!   output is bit-identical to serial. Thread count: `VMSIM_THREADS`;
-//! * [`report`] — the paper-shaped result types (Table 1/4, figure
-//!   sweeps, §6.2/§6.4, THP, hardware sensitivity) and their paper-style
-//!   text rendering.
+//! * [`report`] — the paper-style text of every report: one renderer per
+//!   matrix report kind, each a function of the manifest and its runs in
+//!   matrix order, plus the §6.4 and walk-breakdown texts and CSV export.
 //!
 //! # Examples
 //!
@@ -70,18 +70,15 @@ pub mod serve;
 pub mod stats;
 
 pub use driver::{
-    run_manifest, run_supervised, CellData, CellRun, ColocationRow, DriverError, ManifestRun,
-    Outcome, PressureRow, Supervision, Supervisor, VarianceStudy,
+    run_manifest, run_supervised, CellData, CellRun, DriverError, ManifestRun, Outcome,
+    Supervision, Supervisor,
 };
 pub use engine::Colocation;
 pub use journal::{Journal, JournalEntry};
 pub use obs::{ObsConfig, ObservedRun};
 pub use parallel::Parallelism;
 pub use progress::{Progress, Pulse, DEFAULT_HEARTBEAT_OPS};
-pub use report::{
-    pct_change, AllocLatency, BenchPair, FigureSweep, HwSensitivityRow, ReservedUnused, Table1,
-    Table4, ThpRow, ThpStudy,
-};
+pub use report::{pct_change, AllocLatency};
 pub use scenario::{AllocatorKind, CellBudget, RunMetrics, Scenario};
 pub use serve::{ServeConfig, ServeStats, Server};
 pub use stats::{Replication, Summary};

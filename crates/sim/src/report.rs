@@ -1,11 +1,18 @@
-//! The paper-shaped result types of the manifest driver's outcomes, and
-//! their paper-style text rendering.
+//! The paper-style text of every report. A matrix manifest's report is
+//! [`render`]: one function per report kind, each reading only the
+//! manifest and its completed runs in matrix order. The two special kinds
+//! render their own payloads ([`format_sec64`], [`format_breakdown`]).
 
 use core::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
+use vmsim_config::{ExperimentManifest, ExperimentSpec, MatrixSpec, PolicySpec, ReportKind};
+use vmsim_os::{GuestOs, Machine, MachineConfig};
+use vmsim_types::{GuestVirtAddr, GuestVirtPage, PAGE_SIZE};
 
+use crate::parallel::{self, Parallelism};
 use crate::scenario::RunMetrics;
+use crate::stats::Replication;
 
 /// Percentage change from `from` to `to` (positive = increase).
 pub fn pct_change(from: f64, to: f64) -> f64 {
@@ -14,152 +21,6 @@ pub fn pct_change(from: f64, to: f64) -> f64 {
     } else {
         (to - from) / from * 100.0
     }
-}
-
-/// Result of the Table 1 study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Table1 {
-    /// pagerank running alone in the VM.
-    pub standalone: RunMetrics,
-    /// pagerank colocated with stress-ng (stopped after the allocation
-    /// phase, per the paper's §3.3 protocol).
-    pub colocated: RunMetrics,
-}
-
-impl Table1 {
-    /// The paper's rows: metric name, % change under colocation.
-    pub fn rows(&self) -> Vec<(&'static str, f64)> {
-        let s = &self.standalone;
-        let c = &self.colocated;
-        vec![
-            (
-                "Execution time",
-                pct_change(s.cycles as f64, c.cycles as f64),
-            ),
-            (
-                "Cache misses",
-                pct_change(s.data_misses as f64, c.data_misses as f64),
-            ),
-            (
-                "TLB misses",
-                pct_change(s.tlb_misses as f64, c.tlb_misses as f64),
-            ),
-            (
-                "Page walk cycles",
-                pct_change(s.page_walk_cycles as f64, c.page_walk_cycles as f64),
-            ),
-            (
-                "Cycles traversing host PT",
-                pct_change(s.host_pt_cycles as f64, c.host_pt_cycles as f64),
-            ),
-            (
-                "Guest PT accesses from memory",
-                pct_change(s.guest_pt_memory as f64, c.guest_pt_memory as f64),
-            ),
-            (
-                "Host PT accesses from memory",
-                pct_change(s.host_pt_memory as f64, c.host_pt_memory as f64),
-            ),
-            (
-                "Host PT fragmentation",
-                pct_change(s.host_frag, c.host_frag),
-            ),
-        ]
-    }
-}
-
-/// Per-benchmark pair of runs (default vs PTEMagnet) in one colocation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct BenchPair {
-    /// Benchmark identity.
-    pub name: String,
-    /// Run with the default kernel allocator.
-    pub default: RunMetrics,
-    /// Run with PTEMagnet.
-    pub ptemagnet: RunMetrics,
-}
-
-impl BenchPair {
-    /// Execution-time improvement of PTEMagnet over the default (fraction).
-    pub fn improvement(&self) -> f64 {
-        self.ptemagnet.improvement_over(&self.default)
-    }
-}
-
-/// Result of a figure-style sweep over all benchmarks.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FigureSweep {
-    /// Colocation label ("objdet" or "combination").
-    pub colocation: String,
-    /// Per-benchmark pairs, in the paper's order.
-    pub pairs: Vec<BenchPair>,
-}
-
-impl FigureSweep {
-    /// Geometric-mean improvement across benchmarks (the paper's Geomean
-    /// bar).
-    pub fn geomean_improvement(&self) -> f64 {
-        let product: f64 = self
-            .pairs
-            .iter()
-            .map(|p| 1.0 / (1.0 - p.improvement()))
-            .product();
-        1.0 - 1.0 / product.powf(1.0 / self.pairs.len() as f64)
-    }
-}
-
-/// Result of the Table 4 study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Table4 {
-    /// pagerank + objdet on the default kernel (co-runner runs throughout).
-    pub default: RunMetrics,
-    /// Same colocation with PTEMagnet.
-    pub ptemagnet: RunMetrics,
-}
-
-impl Table4 {
-    /// The paper's rows: metric name, % change with PTEMagnet.
-    pub fn rows(&self) -> Vec<(&'static str, f64)> {
-        let d = &self.default;
-        let p = &self.ptemagnet;
-        vec![
-            (
-                "Host PT fragmentation",
-                pct_change(d.host_frag, p.host_frag),
-            ),
-            (
-                "Execution time",
-                pct_change(d.cycles as f64, p.cycles as f64),
-            ),
-            (
-                "Page walk cycles",
-                pct_change(d.page_walk_cycles as f64, p.page_walk_cycles as f64),
-            ),
-            (
-                "Cycles traversing host PT",
-                pct_change(d.host_pt_cycles as f64, p.host_pt_cycles as f64),
-            ),
-            (
-                "Guest PT accesses from memory",
-                pct_change(d.guest_pt_memory as f64, p.guest_pt_memory as f64),
-            ),
-            (
-                "Host PT accesses from memory",
-                pct_change(d.host_pt_memory as f64, p.host_pt_memory as f64),
-            ),
-        ]
-    }
-}
-
-/// Reserved-unused incidence for one benchmark (§6.2).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ReservedUnused {
-    /// Benchmark name.
-    pub name: String,
-    /// Peak reserved-but-unused frames as a fraction of footprint.
-    pub peak_fraction: f64,
-    /// Mean over samples, as a fraction of footprint.
-    pub mean_fraction: f64,
 }
 
 /// Result of the allocation-latency microbenchmark (§6.4).
@@ -181,141 +42,533 @@ impl AllocLatency {
     }
 }
 
-/// One row of the THP study: allocator behaviour in one memory condition.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ThpRow {
-    /// Allocator label.
-    pub allocator: String,
-    /// Memory condition ("fresh" or "fragmented").
-    pub condition: String,
-    /// Full run metrics.
-    pub metrics: RunMetrics,
-    /// Improvement over the default allocator in the same condition.
-    pub improvement: f64,
+/// A completed matrix run as its renderer reads it.
+struct Matrix<'a> {
+    manifest: &'a ExperimentManifest,
+    spec: &'a MatrixSpec,
+    runs: &'a [RunMetrics],
 }
 
-/// Result of the THP study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ThpStudy {
-    /// Rows for fresh and fragmented memory, three allocators each.
-    pub rows: Vec<ThpRow>,
-    /// Sparse-touch internal fragmentation: resident pages per touched page
-    /// for (default, thp, ptemagnet) — THP's hidden memory cost.
-    pub sparse_rss_per_touched: [f64; 3],
+impl Matrix<'_> {
+    /// The run of workload `w` under policy `p` at seed index `s`.
+    fn at(&self, w: usize, p: usize, s: usize) -> &RunMetrics {
+        let (pn, sn) = (self.spec.policies.len(), self.manifest.seeds.len());
+        &self.runs[(w * pn + p) * sn + s]
+    }
+
+    /// The name of policy `p`.
+    fn policy(&self, p: usize) -> &str {
+        self.spec.policies[p].name()
+    }
 }
 
-/// One row of the hardware-sensitivity study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct HwSensitivityRow {
-    /// Which knob was varied ("stlb" or "nested-tlb").
-    pub knob: String,
-    /// The knob's value (entries).
-    pub value: usize,
-    /// Baseline TLB miss ratio (fraction of lookups that walk).
-    pub tlb_miss_ratio: f64,
-    /// PTEMagnet's improvement at this setting.
-    pub improvement: f64,
+/// Renders a matrix manifest's report from its runs in matrix order
+/// (`index = (w·P + p)·S + s`, one run per cell).
+///
+/// # Panics
+///
+/// Panics if `manifest` is not a matrix or `runs` does not hold one run
+/// per cell.
+pub fn render(manifest: &ExperimentManifest, runs: &[RunMetrics]) -> String {
+    let ExperimentSpec::Matrix(spec) = &manifest.experiment else {
+        panic!("{} is not a matrix manifest", manifest.name);
+    };
+    assert_eq!(
+        runs.len(),
+        spec.workloads.len() * spec.policies.len() * manifest.seeds.len(),
+        "one run per matrix cell"
+    );
+    let m = Matrix {
+        manifest,
+        spec,
+        runs,
+    };
+    match spec.report {
+        ReportKind::Runs => runs_listing(&m),
+        ReportKind::Csv => runs_to_csv(runs),
+        ReportKind::Table1 => change_table(
+            "Table 1: pagerank colocated with stress-ng vs standalone (default kernel)",
+            &[
+                EXECUTION_TIME,
+                CACHE_MISSES,
+                TLB_MISSES,
+                PAGE_WALK_CYCLES,
+                HOST_PT_CYCLES,
+                GUEST_PT_MEMORY,
+                HOST_PT_MEMORY,
+                HOST_PT_FRAGMENTATION,
+            ],
+            ("standalone", m.at(0, 0, 0)),
+            ("colocated", m.at(1, 0, 0)),
+        ),
+        ReportKind::Table4 => change_table(
+            "Table 4: pagerank + objdet, PTEMagnet vs default kernel",
+            &[
+                HOST_PT_FRAGMENTATION,
+                EXECUTION_TIME,
+                PAGE_WALK_CYCLES,
+                HOST_PT_CYCLES,
+                GUEST_PT_MEMORY,
+                HOST_PT_MEMORY,
+            ],
+            ("default", m.at(0, 0, 0)),
+            ("PTEMagnet", m.at(0, 1, 0)),
+        ),
+        ReportKind::Fig5 => fig5(&m),
+        ReportKind::Fig6 => improvement_figure(&m, "Figure 6"),
+        ReportKind::Fig7 => improvement_figure(&m, "Figure 7"),
+        ReportKind::Sec62 => sec62(&m),
+        ReportKind::Thp => thp(&m),
+        ReportKind::Specint => specint(&m),
+        ReportKind::Variance => variance(&m),
+        ReportKind::Llc => llc(&m),
+        ReportKind::Hw => hw(&m),
+        ReportKind::Pressure => pressure(&m),
+        ReportKind::Colocation => colocation(&m),
+    }
 }
 
-/// Renders Table 1 in the paper's "metric / change" format.
-pub fn format_table1(t: &Table1) -> String {
-    let mut out = String::new();
+/// Generic per-run listing: one line per cell.
+fn runs_listing(m: &Matrix<'_>) -> String {
+    let mut out = format!("{}\n", m.manifest.description);
     let _ = writeln!(
         out,
-        "Table 1: pagerank colocated with stress-ng vs standalone (default kernel)"
+        "{:<24} {:<14} {:>6} {:>14} {:>10}",
+        "workload", "policy", "seed", "cycles", "host-frag"
     );
+    for (w, workload) in m.spec.workloads.iter().enumerate() {
+        for p in 0..m.spec.policies.len() {
+            for (s, seed) in m.manifest.seeds.iter().enumerate() {
+                let r = m.at(w, p, s);
+                let _ = writeln!(
+                    out,
+                    "{:<24} {:<14} {:>6} {:>14} {:>10.3}",
+                    workload.display_label(),
+                    m.policy(p),
+                    seed,
+                    r.cycles,
+                    r.host_frag
+                );
+            }
+        }
+    }
+    out
+}
+
+/// One row of a change table: the paper's metric name and its value in a
+/// run.
+type ChangeRow = (&'static str, fn(&RunMetrics) -> f64);
+
+const EXECUTION_TIME: ChangeRow = ("Execution time", |r| r.cycles as f64);
+const CACHE_MISSES: ChangeRow = ("Cache misses", |r| r.data_misses as f64);
+const TLB_MISSES: ChangeRow = ("TLB misses", |r| r.tlb_misses as f64);
+const PAGE_WALK_CYCLES: ChangeRow = ("Page walk cycles", |r| r.page_walk_cycles as f64);
+const HOST_PT_CYCLES: ChangeRow = ("Cycles traversing host PT", |r| r.host_pt_cycles as f64);
+const GUEST_PT_MEMORY: ChangeRow = ("Guest PT accesses from memory", |r| {
+    r.guest_pt_memory as f64
+});
+const HOST_PT_MEMORY: ChangeRow = ("Host PT accesses from memory", |r| r.host_pt_memory as f64);
+const HOST_PT_FRAGMENTATION: ChangeRow = ("Host PT fragmentation", |r| r.host_frag);
+
+/// Renders a paper change table (Tables 1 and 4): each row's % change from
+/// the `from` run to the `to` run, then both runs' host-PT fragmentation
+/// under their labels.
+fn change_table(
+    title: &str,
+    rows: &[ChangeRow],
+    from: (&str, &RunMetrics),
+    to: (&str, &RunMetrics),
+) -> String {
+    let mut out = format!("{title}\n");
     let _ = writeln!(out, "{:<36} {:>10}", "Metric", "Change");
-    for (name, change) in t.rows() {
+    for (name, value) in rows {
+        let change = pct_change(value(from.1), value(to.1));
         let _ = writeln!(out, "{name:<36} {change:>+9.1}%");
     }
     let _ = writeln!(
         out,
-        "(host PT fragmentation: {:.2} standalone -> {:.2} colocated)",
-        t.standalone.host_frag, t.colocated.host_frag
+        "(host PT fragmentation: {:.2} {} -> {:.2} {})",
+        from.1.host_frag, from.0, to.1.host_frag, to.0
     );
     out
 }
 
-/// Renders Figure 5's series: host-PT fragmentation per benchmark, default
-/// vs PTEMagnet (lower is better).
-pub fn format_fig5(s: &FigureSweep) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 5: host PT fragmentation in colocation with {} (lower is better)",
-        s.colocation
+/// The colocation a figure sweep runs under: the shared co-runner name,
+/// `combination` for several, `standalone` for none, `mixed` if workloads
+/// disagree.
+fn colocation_label(spec: &MatrixSpec) -> String {
+    let first = spec
+        .workloads
+        .first()
+        .map(|w| w.corunners.clone())
+        .unwrap_or_default();
+    if spec.workloads.iter().any(|w| w.corunners != first) {
+        return "mixed".to_string();
+    }
+    match first.len() {
+        0 => "standalone".to_string(),
+        1 => first[0].clone(),
+        _ => "combination".to_string(),
+    }
+}
+
+/// Figure 5: host-PT fragmentation per benchmark under both policies
+/// (lower is better).
+fn fig5(m: &Matrix<'_>) -> String {
+    let mut out = format!(
+        "Figure 5: host PT fragmentation in colocation with {} (lower is better)\n",
+        colocation_label(m.spec)
     );
     let _ = writeln!(
         out,
         "{:<10} {:>9} {:>10}",
-        "benchmark", "default", "ptemagnet"
+        "benchmark",
+        m.policy(0),
+        m.policy(1)
     );
-    for p in &s.pairs {
+    for (w, workload) in m.spec.workloads.iter().enumerate() {
         let _ = writeln!(
             out,
             "{:<10} {:>9.2} {:>10.2}",
-            p.name, p.default.host_frag, p.ptemagnet.host_frag
+            workload.benchmark,
+            m.at(w, 0, 0).host_frag,
+            m.at(w, 1, 0).host_frag
         );
     }
     out
 }
 
-/// Renders Figure 6/7's series: per-benchmark performance improvement.
-pub fn format_improvement_figure(s: &FigureSweep, figure: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{figure}: performance improvement under colocation with {}",
-        s.colocation
+/// Figures 6 and 7: the contender's improvement over the baseline per
+/// benchmark and their geometric mean (the paper's Geomean bar), as a
+/// table and as an ASCII bar chart.
+fn improvement_figure(m: &Matrix<'_>, figure: &str) -> String {
+    let mut rows: Vec<(String, f64)> = m
+        .spec
+        .workloads
+        .iter()
+        .enumerate()
+        .map(|(w, workload)| {
+            let improvement = m.at(w, 1, 0).improvement_over(m.at(w, 0, 0));
+            (workload.benchmark.clone(), improvement)
+        })
+        .collect();
+    let product: f64 = rows.iter().map(|(_, imp)| 1.0 / (1.0 - imp)).product();
+    let geomean = 1.0 - 1.0 / product.powf(1.0 / rows.len() as f64);
+    rows.push(("Geomean".to_string(), geomean));
+    for row in &mut rows {
+        row.1 *= 100.0;
+    }
+    let mut out = format!(
+        "{figure}: performance improvement under colocation with {}\n",
+        colocation_label(m.spec)
     );
     let _ = writeln!(out, "{:<10} {:>12}", "benchmark", "improvement");
-    for p in &s.pairs {
-        let _ = writeln!(out, "{:<10} {:>+11.1}%", p.name, p.improvement() * 100.0);
+    for (name, pct) in &rows {
+        let _ = writeln!(out, "{name:<10} {pct:>+11.1}%");
     }
-    let _ = writeln!(
-        out,
-        "{:<10} {:>+11.1}%",
-        "Geomean",
-        s.geomean_improvement() * 100.0
-    );
+    out.push('\n');
+    out.push_str(&ascii_bars(&rows, 40, |v| format!("{v:+.1}%")));
     out
 }
 
-/// Renders Table 4 in the paper's "metric / change" format.
-pub fn format_table4(t: &Table4) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table 4: pagerank + objdet, PTEMagnet vs default kernel"
-    );
-    let _ = writeln!(out, "{:<36} {:>10}", "Metric", "Change");
-    for (name, change) in t.rows() {
-        let _ = writeln!(out, "{name:<36} {change:>+9.1}%");
-    }
-    let _ = writeln!(
-        out,
-        "(host PT fragmentation: {:.2} default -> {:.2} PTEMagnet)",
-        t.default.host_frag, t.ptemagnet.host_frag
-    );
-    out
-}
-
-/// Renders the §6.2 reserved-unused study.
-pub fn format_sec62(rows: &[ReservedUnused]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Sec 6.2: non-allocated pages within reservations (fraction of footprint)"
-    );
+/// §6.2: reserved-but-unused frames per benchmark as a fraction of its
+/// footprint, then the adversarial every-8th-page microbenchmark.
+fn sec62(m: &Matrix<'_>) -> String {
+    let mut out =
+        "Sec 6.2: non-allocated pages within reservations (fraction of footprint)\n".to_string();
     let _ = writeln!(out, "{:<10} {:>9} {:>9}", "benchmark", "peak", "mean");
-    for r in rows {
+    for (w, workload) in m.spec.workloads.iter().enumerate() {
+        let r = m.at(w, 0, 0);
+        let mean = if r.footprint_pages == 0 {
+            0.0
+        } else {
+            r.reserved_unused_mean / r.footprint_pages as f64
+        };
         let _ = writeln!(
             out,
             "{:<10} {:>8.3}% {:>8.3}%",
-            r.name,
-            r.peak_fraction * 100.0,
-            r.mean_fraction * 100.0
+            workload.benchmark,
+            r.reserved_unused_fraction() * 100.0,
+            mean * 100.0
         );
+    }
+    out.push_str(&sec62_adversarial());
+    out
+}
+
+/// The §6.2 adversarial microbenchmark: an application touching only every
+/// eighth page reserves ~7× its footprint. Returns the report line.
+fn sec62_adversarial() -> String {
+    let mut guest = GuestOs::new(1 << 16, Box::new(ptemagnet::ReservationAllocator::new()));
+    let pid = guest.spawn();
+    let va = guest.mmap(pid, 4096).expect("mmap");
+    for g in 0..512u64 {
+        guest
+            .page_fault(pid, GuestVirtPage::new(va.page().raw() + g * 8))
+            .expect("fault");
+    }
+    let unused = guest.allocator().reserved_unused_frames();
+    format!(
+        "\nAdversarial every-8th-page app: footprint 512 pages, reserved-unused {} pages ({}x)\n",
+        unused,
+        unused / 512
+    )
+}
+
+/// The THP study (§2.3): each policy's improvement over `policies[0]`
+/// (the default kernel) per memory condition, then the sparse-touch
+/// microbenchmark's resident pages per touched page under each policy.
+fn thp(m: &Matrix<'_>) -> String {
+    let mut out = "THP study: pagerank + objdet, default vs THP vs PTEMagnet\n".to_string();
+    let _ = writeln!(
+        out,
+        "{:<12} {:<11} {:>12} {:>10} {:>12}",
+        "condition", "allocator", "improvement", "host-frag", "init cycles"
+    );
+    for (w, workload) in m.spec.workloads.iter().enumerate() {
+        for p in 0..m.spec.policies.len() {
+            let r = m.at(w, p, 0);
+            let _ = writeln!(
+                out,
+                "{:<12} {:<11} {:>+11.1}% {:>10.2} {:>12}",
+                workload.display_label(),
+                m.policy(p),
+                r.improvement_over(m.at(w, 0, 0)) * 100.0,
+                r.host_frag,
+                r.init_cycles
+            );
+        }
+    }
+    let _ = writeln!(
+        out,
+        "\nSparse-touch (every 8th page) resident pages per touched page:"
+    );
+    let sparse: Vec<String> = m
+        .spec
+        .policies
+        .iter()
+        .zip(sparse_rss(&m.spec.policies))
+        .map(|(policy, ratio)| format!("{} {ratio:.1}", policy.name()))
+        .collect();
+    let _ = writeln!(out, "{}", sparse.join("   "));
+    out
+}
+
+/// The THP study's sparse-touch microbenchmark: touch every 8th page of a
+/// large VMA and report resident pages per touched page, one value per
+/// policy (THP's hidden internal-fragmentation cost).
+fn sparse_rss(policies: &[PolicySpec]) -> Vec<f64> {
+    let sparse = |policy: &PolicySpec| -> f64 {
+        let allocator = ptemagnet::registry::resolve(policy.name()).expect("policy pre-resolved");
+        let mut m = Machine::with_allocator(MachineConfig::paper(1, 128), allocator);
+        let pid = m.guest_mut().spawn();
+        let base = m.guest_mut().mmap(pid, 8192).expect("mmap");
+        let touched = 8192 / 8;
+        for i in 0..touched {
+            m.touch(
+                0,
+                pid,
+                GuestVirtAddr::new(base.raw() + i * 8 * PAGE_SIZE),
+                true,
+            )
+            .expect("touch");
+        }
+        m.guest().process(pid).expect("pid").rss_pages as f64 / touched as f64
+    };
+    parallel::run_indexed(Parallelism::from_env(), policies.len(), |i| {
+        sparse(&policies[i])
+    })
+}
+
+/// §6.1 zero-overhead check: each benchmark's mean improvement over the
+/// seeds, and the worst of them.
+fn specint(m: &Matrix<'_>) -> String {
+    let sn = m.manifest.seeds.len();
+    let mut out = "Zero-overhead check: low-TLB-pressure SPECint + objdet\n".to_string();
+    let _ = writeln!(out, "{:<12} {:>12}", "benchmark", "improvement");
+    let mut worst = f64::INFINITY;
+    for (w, workload) in m.spec.workloads.iter().enumerate() {
+        let mean = (0..sn)
+            .map(|s| m.at(w, 1, s).improvement_over(m.at(w, 0, s)))
+            .sum::<f64>()
+            / sn as f64;
+        let _ = writeln!(out, "{:<12} {:>+11.2}%", workload.benchmark, mean * 100.0);
+        worst = worst.min(mean);
+    }
+    let _ = writeln!(
+        out,
+        "\nWorst case: {:+.2}% — {}",
+        worst * 100.0,
+        if worst > -0.01 {
+            "PTEMagnet never slows anything down (paper's claim holds)"
+        } else {
+            "REGRESSION: the zero-overhead claim failed"
+        }
+    );
+    out
+}
+
+/// §6.1 run-to-run variance: each policy's coefficient of variation across
+/// the seeds, and the contender's seed-paired improvement.
+fn variance(m: &Matrix<'_>) -> String {
+    let replication = |p: usize| Replication {
+        runs: (0..m.manifest.seeds.len())
+            .map(|s| m.at(0, p, s).clone())
+            .collect(),
+    };
+    let (base, contender) = (replication(0), replication(1));
+    let mut out = format!(
+        "Variance study: {} across {} seeds, {} ops each\n",
+        m.spec.workloads[0].display_label(),
+        m.manifest.seeds.len(),
+        m.manifest.measure_ops
+    );
+    let _ = writeln!(
+        out,
+        "{:<11} {:>10} {:>22}",
+        "allocator", "cv", "improvement (mean±sd)"
+    );
+    let _ = writeln!(
+        out,
+        "{:<11} {:>9.2}% {:>22}",
+        m.policy(0),
+        base.cycles().cv() * 100.0,
+        "-"
+    );
+    let imp = contender.improvement_over(&base);
+    let _ = writeln!(
+        out,
+        "{:<11} {:>9.2}% {:>14.1}% ± {:.1}%",
+        m.policy(1),
+        contender.cycles().cv() * 100.0,
+        imp.mean * 100.0,
+        imp.stddev * 100.0
+    );
+    let _ = writeln!(
+        out,
+        "\nPaper: execution-time stddev over 40 runs <= 2%. Measured cv: {:.2}% / {:.2}%.",
+        base.cycles().cv() * 100.0,
+        contender.cycles().cv() * 100.0
+    );
+    out
+}
+
+/// LLC-capacity sweep: the contender's improvement at each workload's
+/// `llc_mb`.
+fn llc(m: &Matrix<'_>) -> String {
+    let mut out = format!("{}\n", m.manifest.description);
+    let _ = writeln!(out, "{:<8} {:>12}", "LLC", "improvement");
+    for (w, workload) in m.spec.workloads.iter().enumerate() {
+        let mb = workload
+            .sim
+            .and_then(|s| s.llc_mb)
+            .expect("llc manifest pre-validated");
+        let improvement = m.at(w, 1, 0).improvement_over(m.at(w, 0, 0));
+        let _ = writeln!(
+            out,
+            "{:<8} {:>+11.1}%",
+            format!("{mb} MB"),
+            improvement * 100.0
+        );
+    }
+    out
+}
+
+/// Hardware sensitivity: per workload, the TLB knob it sets, the
+/// baseline's TLB miss ratio and the contender's improvement.
+fn hw(m: &Matrix<'_>) -> String {
+    let mut out = format!("{}\n", m.manifest.description);
+    let _ = writeln!(
+        out,
+        "{:<12} {:>8} {:>10} {:>12}",
+        "knob", "entries", "tlb-miss", "improvement"
+    );
+    for (w, workload) in m.spec.workloads.iter().enumerate() {
+        let sim = workload.sim.unwrap_or_default();
+        let (knob, value) = match sim.stlb_entries {
+            Some(v) => ("stlb", v),
+            None => (
+                "nested-tlb",
+                sim.nested_tlb_entries.expect("hw manifest pre-validated"),
+            ),
+        };
+        let base = m.at(w, 0, 0);
+        let _ = writeln!(
+            out,
+            "{:<12} {:>8} {:>9.1}% {:>+11.1}%",
+            knob,
+            value,
+            base.tlb_misses as f64 / base.tlb_lookups.max(1) as f64 * 100.0,
+            m.at(w, 1, 0).improvement_over(base) * 100.0
+        );
+    }
+    out
+}
+
+/// Graceful degradation under fault injection: each (workload, policy)
+/// cell's slowdown against the same policy under the first workload, and
+/// what the injector and reclaim did.
+fn pressure(m: &Matrix<'_>) -> String {
+    let mut out = format!("{}\n", m.manifest.description);
+    let _ = writeln!(
+        out,
+        "{:<16} {:<12} {:>14} {:>10} {:>10} {:>10} {:>10}",
+        "workload", "policy", "cycles", "slowdown", "injected", "fallbacks", "reclaimed"
+    );
+    for (w, workload) in m.spec.workloads.iter().enumerate() {
+        for p in 0..m.spec.policies.len() {
+            let r = m.at(w, p, 0);
+            let slowdown = r.cycles as f64 / m.at(0, p, 0).cycles.max(1) as f64 - 1.0;
+            let _ = writeln!(
+                out,
+                "{:<16} {:<12} {:>14} {:>+9.1}% {:>10} {:>10} {:>10}",
+                workload.display_label(),
+                m.policy(p),
+                r.cycles,
+                slowdown * 100.0,
+                r.faults_injected,
+                r.reservation_fallbacks,
+                r.reclaimed_frames
+            );
+        }
+    }
+    out
+}
+
+/// Multi-tenant colocation: per fleet and policy, VM 0's cycles, its
+/// improvement over the first policy on the same fleet, its host-PT
+/// fragmentation and the fleet's guest page faults.
+fn colocation(m: &Matrix<'_>) -> String {
+    let mut out = format!("{}\n", m.manifest.description);
+    let _ = writeln!(
+        out,
+        "{:<20} {:<12} {:>5} {:>6} {:>14} {:>12} {:>10} {:>12}",
+        "fleet", "policy", "vms", "churn", "cycles", "improvement", "host-frag", "faults"
+    );
+    for (w, workload) in m.spec.workloads.iter().enumerate() {
+        let vms = workload
+            .vms
+            .or(m.manifest.vms)
+            .expect("colocation manifest pre-validated");
+        for p in 0..m.spec.policies.len() {
+            let r = m.at(w, p, 0);
+            let _ = writeln!(
+                out,
+                "{:<20} {:<12} {:>5} {:>6} {:>14} {:>+11.1}% {:>10.3} {:>12}",
+                workload.display_label(),
+                m.policy(p),
+                vms.count,
+                if vms.churn_period_ops.is_some() {
+                    "on"
+                } else {
+                    "off"
+                },
+                r.cycles,
+                r.improvement_over(m.at(w, 0, 0)) * 100.0,
+                r.host_frag,
+                r.total_faults
+            );
+        }
     }
     out
 }
@@ -362,19 +615,9 @@ pub fn ascii_bars(
     out
 }
 
-/// Renders a [`FigureSweep`] as an ASCII bar chart of improvements.
-pub fn figure_as_bars(s: &FigureSweep) -> String {
-    let mut rows: Vec<(String, f64)> = s
-        .pairs
-        .iter()
-        .map(|p| (p.name.clone(), p.improvement() * 100.0))
-        .collect();
-    rows.push(("Geomean".to_string(), s.geomean_improvement() * 100.0));
-    ascii_bars(&rows, 40, |v| format!("{v:+.1}%"))
-}
-
-/// Renders the §1 walk-source breakdown: for each page-table level of each
-/// dimension, where its accesses were served from.
+/// Renders one allocator's rows of the §1 walk-source breakdown: for each
+/// page-table level of each dimension, where its accesses were served
+/// from, then how many more host-PT than guest-PT accesses reached DRAM.
 pub fn format_breakdown(allocator: &str, c: &vmsim_cache::MemCounters) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Walk-access sources with the {allocator} allocator:");
@@ -408,12 +651,21 @@ pub fn format_breakdown(allocator: &str, c: &vmsim_cache::MemCounters) -> String
     for (level, k) in c.host_pt_levels.iter().enumerate() {
         row(format!("host  L{level}"), k);
     }
+    let ratio = if c.guest_pt.memory == 0 {
+        f64::INFINITY
+    } else {
+        c.host_pt.memory as f64 / c.guest_pt.memory as f64
+    };
+    let _ = writeln!(
+        out,
+        "-> host-PT DRAM accesses are {ratio:.1}x the guest-PT's (paper: 4.4x under colocation)\n"
+    );
     out
 }
 
 /// Serializes run metrics to CSV (header + one row per run), for plotting
 /// the figures outside the simulator.
-pub fn runs_to_csv(runs: &[crate::scenario::RunMetrics]) -> String {
+pub fn runs_to_csv(runs: &[RunMetrics]) -> String {
     let mut out = String::from(
         "benchmark,allocator,measure_ops,cycles,tlb_lookups,tlb_misses,data_accesses,\
          data_misses,page_walk_cycles,host_pt_cycles,guest_pt_accesses,guest_pt_memory,\
@@ -453,44 +705,10 @@ pub fn runs_to_csv(runs: &[crate::scenario::RunMetrics]) -> String {
     out
 }
 
-/// Renders the THP study (§2.3 baseline comparison).
-pub fn format_thp(s: &ThpStudy) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "THP study: pagerank + objdet, default vs THP vs PTEMagnet"
-    );
-    let _ = writeln!(
-        out,
-        "{:<12} {:<11} {:>12} {:>10} {:>12}",
-        "condition", "allocator", "improvement", "host-frag", "init cycles"
-    );
-    for r in &s.rows {
-        let _ = writeln!(
-            out,
-            "{:<12} {:<11} {:>+11.1}% {:>10.2} {:>12}",
-            r.condition,
-            r.allocator,
-            r.improvement * 100.0,
-            r.metrics.host_frag,
-            r.metrics.init_cycles
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\nSparse-touch (every 8th page) resident pages per touched page:"
-    );
-    let _ = writeln!(
-        out,
-        "default {:.1}   thp {:.1}   ptemagnet {:.1}",
-        s.sparse_rss_per_touched[0], s.sparse_rss_per_touched[1], s.sparse_rss_per_touched[2]
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmsim_config::builtin;
 
     #[test]
     fn ascii_bars_scale_to_the_max() {
@@ -578,44 +796,45 @@ mod tests {
         }
     }
 
+    /// The checked-in figure manifest `name` with only its xz workload,
+    /// `copies` times over.
+    fn xz_figure(name: &str, copies: usize) -> ExperimentManifest {
+        let mut manifest = builtin::by_name(name).expect("checked-in manifest");
+        let ExperimentSpec::Matrix(spec) = &mut manifest.experiment else {
+            unreachable!("figures are matrices");
+        };
+        let xz = spec
+            .workloads
+            .iter()
+            .find(|w| w.benchmark == "xz")
+            .expect("figures include xz");
+        spec.workloads = vec![xz.clone(); copies];
+        manifest
+    }
+
     #[test]
     fn table_formats_compute_percent_changes() {
-        let t1 = Table1 {
-            standalone: metrics(100_000, 2.0),
-            colocated: metrics(110_000, 6.0),
-        };
-        let s = format_table1(&t1);
+        let t1 = builtin::by_name("table1").expect("checked-in manifest");
+        let s = render(&t1, &[metrics(100_000, 2.0), metrics(110_000, 6.0)]);
         assert!(s.contains("Execution time"));
         assert!(s.contains("+10.0%"));
         assert!(s.contains("+200.0%"), "fragmentation 2.0 -> 6.0:\n{s}");
 
-        let t4 = Table4 {
-            default: metrics(100_000, 7.0),
-            ptemagnet: metrics(93_000, 1.0),
-        };
-        let s = format_table4(&t4);
+        let t4 = builtin::by_name("table4").expect("checked-in manifest");
+        let s = render(&t4, &[metrics(100_000, 7.0), metrics(93_000, 1.0)]);
         assert!(s.contains("-7.0%"));
         assert!(s.contains("7.00 default -> 1.00 PTEMagnet"));
     }
 
     #[test]
     fn figure_formats_list_every_benchmark_and_geomean() {
-        let sweep = FigureSweep {
-            colocation: "objdet".into(),
-            pairs: vec![BenchPair {
-                name: "xz".into(),
-                default: metrics(100_000, 7.0),
-                ptemagnet: metrics(91_000, 1.0),
-            }],
-        };
-        let s = format_fig5(&sweep);
+        let runs = [metrics(100_000, 7.0), metrics(91_000, 1.0)];
+        let s = render(&xz_figure("fig5", 1), &runs);
         assert!(s.contains("xz") && s.contains("7.00") && s.contains("1.00"));
-        let s = format_improvement_figure(&sweep, "Figure 6");
+        let s = render(&xz_figure("fig6", 1), &runs);
         assert!(s.contains("+9.0%"));
         assert!(s.contains("Geomean"));
-        let bars = figure_as_bars(&sweep);
-        assert!(bars.contains('█'));
-        assert!(bars.contains("xz"));
+        assert!(s.contains('█'));
     }
 
     #[test]
@@ -627,16 +846,11 @@ mod tests {
 
     #[test]
     fn geomean_of_identical_improvements_is_that_improvement() {
-        let pair = BenchPair {
-            name: "x".into(),
-            default: metrics(100_000, 1.0),
-            ptemagnet: metrics(96_000, 1.0),
-        };
-        let sweep = FigureSweep {
-            colocation: "t".into(),
-            pairs: vec![pair.clone(), pair],
-        };
-        assert!((sweep.geomean_improvement() - 0.04).abs() < 1e-6);
+        let pair = [metrics(100_000, 1.0), metrics(96_000, 1.0)];
+        let s = render(&xz_figure("fig6", 2), &[&pair[..], &pair[..]].concat());
+        let geomean: Vec<&str> = s.lines().filter(|l| l.starts_with("Geomean")).collect();
+        assert_eq!(geomean.len(), 2, "table row and bar:\n{s}");
+        assert!(geomean.iter().all(|l| l.ends_with("+4.0%")), "{s}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! unchanged.
 
 use vmsim_config::{builtin, SimConfig, VmsSpec};
-use vmsim_sim::driver::{run_manifest, Outcome};
+use vmsim_sim::driver::run_manifest;
 use vmsim_sim::journal::fnv1a;
 use vmsim_sim::{ObsConfig, ObservedRun};
 
@@ -67,20 +67,28 @@ fn colocation_manifest_sweeps_fleets_and_reports_rows() {
         }
     }
     let run = run_manifest(&manifest).expect("colocation manifest runs");
-    let rows = match &run.outcome {
-        Outcome::Colocation(rows) => rows,
-        other => panic!("colocation manifest produced {other:?}"),
-    };
-    assert_eq!(rows.len(), 4, "2 fleets x 2 policies");
-    for row in rows {
-        assert_eq!(row.vms, 4);
-        assert!(row.cycles > 0);
-        assert!(row.total_faults > 0);
+    let runs = run.metrics();
+    assert_eq!(runs.len(), 4, "2 fleets x 2 policies");
+    for r in &runs {
+        assert!(r.cycles > 0);
+        assert!(r.total_faults > 0);
     }
-    assert!(!rows[0].churn && rows[2].churn);
-    // The baseline policy's improvement over itself is exactly zero.
-    assert_eq!(rows[0].improvement, 0.0);
-    assert_eq!(rows[2].improvement, 0.0);
+    // The report's rows, read from the right: faults, host-frag,
+    // improvement, cycles, churn, vms (the fleet label may hold spaces).
+    let report = run.report();
+    let rows: Vec<Vec<&str>> = report
+        .lines()
+        .skip(2)
+        .map(|line| line.split_whitespace().rev().take(6).collect())
+        .collect();
+    assert_eq!(rows.len(), 4, "2 fleets x 2 policies:\n{report}");
+    for row in &rows {
+        assert_eq!(row[5], "4", "{report}");
+    }
+    assert!(rows[0][4] == "off" && rows[2][4] == "on", "{report}");
+    // The baseline policy's improvement over itself is zero.
+    assert_eq!(rows[0][2], "+0.0%", "{report}");
+    assert_eq!(rows[2][2], "+0.0%", "{report}");
     // The artifact re-parses and carries all four runs.
     let doc = vmsim_obs::json::parse(&run.results_json()).expect("artifact parses");
     assert_eq!(

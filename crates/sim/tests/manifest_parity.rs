@@ -14,7 +14,7 @@
 
 use vmsim_config::{builtin, ExperimentManifest, SimConfig};
 use vmsim_os::{GuestFrameAllocator, GuestOs};
-use vmsim_sim::driver::{run_manifest, Outcome};
+use vmsim_sim::driver::run_manifest;
 use vmsim_sim::{AllocatorKind, RunMetrics, Scenario};
 use vmsim_types::{GuestFrame, GuestVirtPage};
 use vmsim_workloads::{BenchId, CoId};
@@ -60,14 +60,12 @@ fn table4_matches_prerefactor_code_bit_for_bit() {
 
     let mut manifest = checked_in("table4", SEED, OPS);
     manifest.sim = Some(small());
-    let run = run_manifest(&manifest).expect("checked-in manifest runs");
-    match &run.outcome {
-        Outcome::Table4(t) => {
-            assert_eq!(t.default, legacy_default, "default run diverged");
-            assert_eq!(t.ptemagnet, legacy_ptemagnet, "ptemagnet run diverged");
-        }
-        other => panic!("table4 manifest produced {other:?}"),
-    }
+    let runs = run_manifest(&manifest)
+        .expect("checked-in manifest runs")
+        .metrics();
+    assert_eq!(runs.len(), 2, "table4 runs one cell per policy");
+    assert_eq!(runs[0], legacy_default, "default run diverged");
+    assert_eq!(runs[1], legacy_ptemagnet, "ptemagnet run diverged");
 }
 
 #[test]
@@ -98,23 +96,22 @@ fn fig6_matches_prerefactor_code_bit_for_bit() {
 
     let mut manifest = checked_in("fig6", SEED, OPS);
     manifest.sim = Some(small());
-    let run = run_manifest(&manifest).expect("checked-in manifest runs");
-    let sweep = match &run.outcome {
-        Outcome::Figure(s) => s,
-        other => panic!("fig6 manifest produced {other:?}"),
-    };
-    assert_eq!(sweep.pairs.len(), legacy.len());
-    for (pair, (bench, default, ptemagnet)) in sweep.pairs.iter().zip(&legacy) {
-        assert_eq!(pair.name, bench.name());
+    let runs = run_manifest(&manifest)
+        .expect("checked-in manifest runs")
+        .metrics();
+    // Workload-major: each benchmark's default run, then its ptemagnet run.
+    assert_eq!(runs.len(), 2 * legacy.len());
+    for (pair, (bench, default, ptemagnet)) in runs.chunks(2).zip(&legacy) {
+        assert_eq!(pair[0].benchmark, bench.name());
         assert_eq!(
-            &pair.default, default,
+            &pair[0], default,
             "{}: default run diverged",
-            pair.name
+            pair[0].benchmark
         );
         assert_eq!(
-            &pair.ptemagnet, ptemagnet,
+            &pair[1], ptemagnet,
             "{}: ptemagnet run diverged",
-            pair.name
+            pair[0].benchmark
         );
     }
 }

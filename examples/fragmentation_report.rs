@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example fragmentation_report [measure_ops]`
 
-use ptemagnet_sim::sim::{report, run_manifest, Outcome};
+use ptemagnet_sim::sim::run_manifest;
 
 fn main() {
     let mut manifest = vmsim_config::builtin::by_name("table1").expect("manifests/table1.json");
@@ -12,15 +12,15 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(80_000);
-    let Outcome::Table1(t) = run_manifest(&manifest).expect("table1 runs").outcome else {
-        unreachable!("the table1 manifest reports Table 1");
-    };
-    print!("{}", report::format_table1(&t));
+    let run = run_manifest(&manifest).expect("table1 runs");
+    print!("{}", run.report());
+    // The standalone run, then the colocated one.
+    let runs = run.metrics();
     println!();
     println!("Reading the table: colocation leaves cache and TLB miss counts flat but");
     println!(
         "scatters host PTEs over {:.1}x more cache lines, so page walks spend far",
-        t.colocated.host_frag / t.standalone.host_frag
+        runs[1].host_frag / runs[0].host_frag
     );
     println!("longer traversing the host page table — the bottleneck PTEMagnet removes.");
 }

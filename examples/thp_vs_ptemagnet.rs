@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example thp_vs_ptemagnet [measure_ops]`
 
-use ptemagnet_sim::sim::{report, run_manifest, Outcome};
+use ptemagnet_sim::sim::run_manifest;
 
 fn main() {
     let mut manifest = vmsim_config::builtin::by_name("thp").expect("manifests/thp.json");
@@ -17,10 +17,7 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(60_000);
-    let Outcome::Thp(study) = run_manifest(&manifest).expect("thp runs").outcome else {
-        unreachable!("the thp manifest reports a THP study");
-    };
-    print!("{}", report::format_thp(&study));
+    print!("{}", run_manifest(&manifest).expect("thp runs").report());
     println!();
     println!("Act 1 (fresh): THP and PTEMagnet both pin host-PT fragmentation to ~1;");
     println!("THP additionally shortens guest walks, so it can edge ahead — when it works.");
