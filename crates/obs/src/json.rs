@@ -33,8 +33,8 @@
 //! a string's unescaped bytes a run at a time (up to the next `"`, `\` or
 //! control byte) rather than one character at a time, so a journal entry
 //! carrying megabytes of escaped trace JSONL parses in milliseconds.
-//! [`write_str`] and [`write_str_to`] likewise copy each run of bytes that
-//! needs no escape in one piece.
+//! [`write_str`] likewise copies each run of bytes that needs no escape in
+//! one piece.
 
 use std::fmt::Write as _;
 
@@ -461,30 +461,13 @@ impl<S: Sink> Parser<'_, S> {
     }
 }
 
-/// Append `s` to `out` as a JSON string literal (with surrounding quotes).
+/// Append `s` to `out` as a JSON string literal (with surrounding quotes):
+/// each run of bytes that needs no escape in one piece, then each escape
+/// sequence. Only ASCII bytes are escaped, so every run is whole UTF-8.
 pub fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.reserve(s.len() + 2);
     out.push('"');
-    let Ok(()) = escape(s, |piece| -> Result<(), std::convert::Infallible> {
-        out.push_str(piece);
-        Ok(())
-    });
-    out.push('"');
-}
-
-/// Write `s` to `w` as a JSON string literal: the same bytes [`write_str`]
-/// appends, streamed instead of built.
-pub fn write_str_to(w: &mut impl std::io::Write, s: &str) -> std::io::Result<()> {
-    w.write_all(b"\"")?;
-    escape(s, |piece| w.write_all(piece.as_bytes()))?;
-    w.write_all(b"\"")
-}
-
-/// Hands the escaped body of `s` to `emit` piece by piece: each run of
-/// bytes that needs no escape as one piece, then each escape sequence.
-/// Only ASCII bytes are escaped, so every piece is whole UTF-8.
-fn escape<E>(s: &str, mut emit: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut start = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
         let code;
@@ -507,16 +490,30 @@ fn escape<E>(s: &str, mut emit: impl FnMut(&str) -> Result<(), E>) -> Result<(),
             }
             _ => continue,
         };
-        if start < i {
-            emit(&s[start..i])?;
-        }
-        emit(escaped)?;
+        out.push_str(&s[start..i]);
+        out.push_str(escaped);
         start = i + 1;
     }
-    if start < s.len() {
-        emit(&s[start..])?;
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// Append `v` in decimal: the digits `format!("{v}")` gives, without
+/// going through `core::fmt`.
+pub fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
-    Ok(())
+    for &digit in &digits[start..] {
+        out.push(char::from(digit));
+    }
 }
 
 /// Append an `f64` as a JSON number; non-finite values become `null`.

@@ -8,7 +8,6 @@
 use crate::json;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// A typed simulator event. Field meanings:
 /// `pid` — guest process id; `vpn` — guest virtual page number;
@@ -104,6 +103,7 @@ impl EventKind {
         }
     }
 
+    /// Appends this kind's fields, each as `,"key":value`.
     fn write_fields(&self, out: &mut String) {
         match *self {
             EventKind::PageFault {
@@ -112,84 +112,109 @@ impl EventKind {
                 gfn,
                 huge,
             } => {
-                let _ = write!(
+                u64_fields(
                     out,
-                    ",\"pid\":{pid},\"vpn\":{vpn},\"gfn\":{gfn},\"huge\":{huge}"
+                    &[(",\"pid\":", pid), (",\"vpn\":", vpn), (",\"gfn\":", gfn)],
                 );
+                out.push_str(if huge {
+                    ",\"huge\":true"
+                } else {
+                    ",\"huge\":false"
+                });
             }
             EventKind::ReservationTake { pid, vpn, gfn }
-            | EventKind::ReservationHit { pid, vpn, gfn } => {
-                let _ = write!(out, ",\"pid\":{pid},\"vpn\":{vpn},\"gfn\":{gfn}");
+            | EventKind::ReservationHit { pid, vpn, gfn }
+            | EventKind::ReservationFallback { pid, vpn, gfn } => {
+                u64_fields(
+                    out,
+                    &[(",\"pid\":", pid), (",\"vpn\":", vpn), (",\"gfn\":", gfn)],
+                );
             }
-            EventKind::ReservationReclaim { frames } => {
-                let _ = write!(out, ",\"frames\":{frames}");
+            EventKind::ReservationReclaim { frames } | EventKind::ReclaimStorm { frames } => {
+                u64_fields(out, &[(",\"frames\":", frames)]);
             }
             EventKind::PtWalk {
                 levels,
                 cycles,
                 pwc_hits,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"levels\":{levels},\"cycles\":{cycles},\"pwc_hits\":{pwc_hits}"
-                );
-            }
+            } => u64_fields(
+                out,
+                &[
+                    (",\"levels\":", levels.into()),
+                    (",\"cycles\":", cycles),
+                    (",\"pwc_hits\":", pwc_hits.into()),
+                ],
+            ),
             EventKind::BuddySplit { count } | EventKind::BuddyMerge { count } => {
-                let _ = write!(out, ",\"count\":{count}");
+                u64_fields(out, &[(",\"count\":", count)]);
             }
             EventKind::ThpCollapse { pid, vpn } => {
-                let _ = write!(out, ",\"pid\":{pid},\"vpn\":{vpn}");
+                u64_fields(out, &[(",\"pid\":", pid), (",\"vpn\":", vpn)]);
             }
             EventKind::FaultInjected {
                 chunk_denials,
                 oom_denials,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"chunk_denials\":{chunk_denials},\"oom_denials\":{oom_denials}"
-                );
-            }
-            EventKind::FragShock { max_order, splits } => {
-                let _ = write!(out, ",\"max_order\":{max_order},\"splits\":{splits}");
-            }
-            EventKind::ReclaimStorm { frames } => {
-                let _ = write!(out, ",\"frames\":{frames}");
-            }
+            } => u64_fields(
+                out,
+                &[
+                    (",\"chunk_denials\":", chunk_denials),
+                    (",\"oom_denials\":", oom_denials),
+                ],
+            ),
+            EventKind::FragShock { max_order, splits } => u64_fields(
+                out,
+                &[
+                    (",\"max_order\":", max_order.into()),
+                    (",\"splits\":", splits),
+                ],
+            ),
             EventKind::SwapOut { gfn, frames } => {
-                let _ = write!(out, ",\"gfn\":{gfn},\"frames\":{frames}");
-            }
-            EventKind::ReservationFallback { pid, vpn, gfn } => {
-                let _ = write!(out, ",\"pid\":{pid},\"vpn\":{vpn},\"gfn\":{gfn}");
+                u64_fields(out, &[(",\"gfn\":", gfn), (",\"frames\":", frames)]);
             }
             EventKind::OomRetry { reclaimed } => {
-                let _ = write!(out, ",\"reclaimed\":{reclaimed}");
+                u64_fields(out, &[(",\"reclaimed\":", reclaimed)]);
             }
             EventKind::CellQuarantined { cell, attempts } => {
-                let _ = write!(out, ",\"cell\":{cell},\"attempts\":{attempts}");
+                u64_fields(
+                    out,
+                    &[(",\"cell\":", cell), (",\"attempts\":", attempts.into())],
+                );
             }
             EventKind::CellRetried { cell, attempt } => {
-                let _ = write!(out, ",\"cell\":{cell},\"attempt\":{attempt}");
+                u64_fields(
+                    out,
+                    &[(",\"cell\":", cell), (",\"attempt\":", attempt.into())],
+                );
             }
-            EventKind::RunResumed { cells } => {
-                let _ = write!(out, ",\"cells\":{cells}");
-            }
+            EventKind::RunResumed { cells } => u64_fields(out, &[(",\"cells\":", cells)]),
             EventKind::VmBoot { vm, boot } => {
-                let _ = write!(out, ",\"vm\":{vm},\"boot\":{boot}");
+                u64_fields(out, &[(",\"vm\":", vm.into()), (",\"boot\":", boot)]);
             }
             EventKind::VmKill { vm, frames } => {
-                let _ = write!(out, ",\"vm\":{vm},\"frames\":{frames}");
+                u64_fields(out, &[(",\"vm\":", vm.into()), (",\"frames\":", frames)]);
             }
             EventKind::Balloon {
                 vm,
                 frames,
                 inflate,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"vm\":{vm},\"frames\":{frames},\"inflate\":{inflate}"
-                );
+                u64_fields(out, &[(",\"vm\":", vm.into()), (",\"frames\":", frames)]);
+                out.push_str(if inflate {
+                    ",\"inflate\":true"
+                } else {
+                    ",\"inflate\":false"
+                });
             }
         }
+    }
+}
+
+/// Appends each `(key, value)` pair: the key text as is (it carries its own
+/// `,"name":` punctuation), then the value's digits.
+fn u64_fields(out: &mut String, fields: &[(&str, u64)]) {
+    for &(key, value) in fields {
+        out.push_str(key);
+        json::write_u64(out, value);
     }
 }
 
@@ -205,8 +230,12 @@ impl Event {
     /// to `out` (without a newline). Every rendering of an event goes
     /// through here.
     pub fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{{\"op\":{},\"event\":", self.op);
-        json::write_str(out, self.kind.name());
+        out.push_str("{\"op\":");
+        json::write_u64(out, self.op);
+        // Kind names are snake_case ASCII: nothing in them needs escaping.
+        out.push_str(",\"event\":\"");
+        out.push_str(self.kind.name());
+        out.push('"');
         self.kind.write_fields(out);
         out.push('}');
     }

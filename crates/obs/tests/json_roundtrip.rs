@@ -1,13 +1,15 @@
 //! Round-trip properties of the JSON writer and parser: every string
 //! `write_str` emits parses back to itself, bare or as a field of a
 //! journal-shaped object line, and every finite `f64` survives
-//! `write_f64` bit for bit. Two more properties pin the fast paths to
-//! their plain definitions: `validate` accepts and rejects exactly what
-//! `parse` does, with the same error, and `write_str` (and its streaming
-//! twin `write_str_to`) emit what a char-by-char escaper would.
+//! `write_f64` bit for bit. More properties pin the fast paths to their
+//! plain definitions: `validate` accepts and rejects exactly what `parse`
+//! does, with the same error; `write_str` emits what a char-by-char
+//! escaper would; and `Event::write_json` emits what a `format!`-based
+//! renderer would.
 
 use proptest::prelude::*;
 use vmsim_obs::json::{self, Json};
+use vmsim_obs::trace::{Event, EventKind};
 
 /// Characters from the whole scalar range, weighted towards the ones the
 /// writer escapes: quotes, backslashes, control characters, and astral
@@ -167,6 +169,146 @@ fn reference_escape(s: &str) -> String {
     out
 }
 
+/// The trace line renderer `Event::write_json` replaced, built on
+/// `format!`: the reference for its output.
+fn reference_event_json(event: &Event) -> String {
+    let fields = match event.kind {
+        EventKind::PageFault {
+            pid,
+            vpn,
+            gfn,
+            huge,
+        } => format!(",\"pid\":{pid},\"vpn\":{vpn},\"gfn\":{gfn},\"huge\":{huge}"),
+        EventKind::ReservationTake { pid, vpn, gfn }
+        | EventKind::ReservationHit { pid, vpn, gfn }
+        | EventKind::ReservationFallback { pid, vpn, gfn } => {
+            format!(",\"pid\":{pid},\"vpn\":{vpn},\"gfn\":{gfn}")
+        }
+        EventKind::ReservationReclaim { frames } | EventKind::ReclaimStorm { frames } => {
+            format!(",\"frames\":{frames}")
+        }
+        EventKind::PtWalk {
+            levels,
+            cycles,
+            pwc_hits,
+        } => format!(",\"levels\":{levels},\"cycles\":{cycles},\"pwc_hits\":{pwc_hits}"),
+        EventKind::BuddySplit { count } | EventKind::BuddyMerge { count } => {
+            format!(",\"count\":{count}")
+        }
+        EventKind::ThpCollapse { pid, vpn } => format!(",\"pid\":{pid},\"vpn\":{vpn}"),
+        EventKind::FaultInjected {
+            chunk_denials,
+            oom_denials,
+        } => format!(",\"chunk_denials\":{chunk_denials},\"oom_denials\":{oom_denials}"),
+        EventKind::FragShock { max_order, splits } => {
+            format!(",\"max_order\":{max_order},\"splits\":{splits}")
+        }
+        EventKind::SwapOut { gfn, frames } => format!(",\"gfn\":{gfn},\"frames\":{frames}"),
+        EventKind::OomRetry { reclaimed } => format!(",\"reclaimed\":{reclaimed}"),
+        EventKind::CellQuarantined { cell, attempts } => {
+            format!(",\"cell\":{cell},\"attempts\":{attempts}")
+        }
+        EventKind::CellRetried { cell, attempt } => {
+            format!(",\"cell\":{cell},\"attempt\":{attempt}")
+        }
+        EventKind::RunResumed { cells } => format!(",\"cells\":{cells}"),
+        EventKind::VmBoot { vm, boot } => format!(",\"vm\":{vm},\"boot\":{boot}"),
+        EventKind::VmKill { vm, frames } => format!(",\"vm\":{vm},\"frames\":{frames}"),
+        EventKind::Balloon {
+            vm,
+            frames,
+            inflate,
+        } => format!(",\"vm\":{vm},\"frames\":{frames},\"inflate\":{inflate}"),
+    };
+    format!(
+        "{{\"op\":{},\"event\":\"{}\"{fields}}}",
+        event.op,
+        event.kind.name()
+    )
+}
+
+/// The number of [`EventKind`] variants [`event_kind`] builds.
+const EVENT_KINDS: usize = 20;
+
+/// Variant `which` of [`EventKind`], its `u64` fields drawn from `wide`
+/// in order, its `u32` fields from `narrow` and its flag from `flag`.
+fn event_kind(which: usize, wide: [u64; 3], narrow: [u32; 2], flag: bool) -> EventKind {
+    let [a, b, c] = wide;
+    let [x, y] = narrow;
+    match which {
+        0 => EventKind::PageFault {
+            pid: a,
+            vpn: b,
+            gfn: c,
+            huge: flag,
+        },
+        1 => EventKind::ReservationTake {
+            pid: a,
+            vpn: b,
+            gfn: c,
+        },
+        2 => EventKind::ReservationHit {
+            pid: a,
+            vpn: b,
+            gfn: c,
+        },
+        3 => EventKind::ReservationReclaim { frames: a },
+        4 => EventKind::PtWalk {
+            levels: x,
+            cycles: a,
+            pwc_hits: y,
+        },
+        5 => EventKind::BuddySplit { count: a },
+        6 => EventKind::BuddyMerge { count: a },
+        7 => EventKind::ThpCollapse { pid: a, vpn: b },
+        8 => EventKind::FaultInjected {
+            chunk_denials: a,
+            oom_denials: b,
+        },
+        9 => EventKind::FragShock {
+            max_order: x,
+            splits: a,
+        },
+        10 => EventKind::ReclaimStorm { frames: a },
+        11 => EventKind::SwapOut { gfn: a, frames: b },
+        12 => EventKind::ReservationFallback {
+            pid: a,
+            vpn: b,
+            gfn: c,
+        },
+        13 => EventKind::OomRetry { reclaimed: a },
+        14 => EventKind::CellQuarantined {
+            cell: a,
+            attempts: x,
+        },
+        15 => EventKind::CellRetried {
+            cell: a,
+            attempt: x,
+        },
+        16 => EventKind::RunResumed { cells: a },
+        17 => EventKind::VmBoot { vm: x, boot: a },
+        18 => EventKind::VmKill { vm: x, frames: a },
+        19 => EventKind::Balloon {
+            vm: x,
+            frames: a,
+            inflate: flag,
+        },
+        _ => unreachable!("{EVENT_KINDS} kinds"),
+    }
+}
+
+/// Integers at the digit writer's edges: zero, the largest one-digit and
+/// smallest two-digit numbers, and the largest `u32` and `u64`.
+const EDGES: [u64; 5] = [0, 9, 10, u32::MAX as u64, u64::MAX];
+
+fn edge_u64() -> impl Strategy<Value = u64> {
+    (0..EDGES.len()).prop_map(|i| EDGES[i])
+}
+
+fn edge_u32() -> impl Strategy<Value = u32> {
+    (0..EDGES.len() - 1).prop_map(|i| u32::try_from(EDGES[i]).expect("a u32 edge"))
+}
+
 fn round_trip_f64(v: f64) -> f64 {
     let mut out = String::new();
     json::write_f64(&mut out, v);
@@ -216,9 +358,21 @@ proptest! {
         json::write_str(&mut out, &s);
         let expected = reference_escape(&s);
         prop_assert_eq!(&out["prefix".len()..], expected.as_str());
-        let mut streamed = Vec::new();
-        json::write_str_to(&mut streamed, &s).expect("writing to a Vec cannot fail");
-        prop_assert_eq!(streamed, expected.into_bytes());
+    }
+
+    #[test]
+    fn event_json_matches_a_format_renderer(
+        which in 0..EVENT_KINDS,
+        op in edge_u64(),
+        wide in (edge_u64(), edge_u64(), edge_u64()),
+        narrow in (edge_u32(), edge_u32()),
+        flag in any::<bool>(),
+    ) {
+        let kind = event_kind(which, [wide.0, wide.1, wide.2], [narrow.0, narrow.1], flag);
+        let event = Event { op, kind };
+        let mut out = String::from("prefix");
+        event.write_json(&mut out);
+        prop_assert_eq!(&out["prefix".len()..], reference_event_json(&event).as_str());
     }
 
     #[test]
@@ -248,6 +402,22 @@ proptest! {
         bytes[i] = byte;
         let text = String::from_utf8_lossy(&bytes);
         prop_assert_eq!(json::validate(&text), json::parse(&text).map(drop), "{}", text);
+    }
+}
+
+/// Every kind with every field at each edge value and the flag both ways
+/// renders as the `format!` reference does.
+#[test]
+fn every_event_kind_renders_like_format_at_every_edge() {
+    for which in 0..EVENT_KINDS {
+        for &wide in &EDGES {
+            let narrow = u32::try_from(wide).unwrap_or(u32::MAX);
+            for flag in [false, true] {
+                let kind = event_kind(which, [wide; 3], [narrow; 2], flag);
+                let event = Event { op: wide, kind };
+                assert_eq!(event.to_json(), reference_event_json(&event), "{event:?}");
+            }
+        }
     }
 }
 

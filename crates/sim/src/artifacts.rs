@@ -25,12 +25,21 @@
 //! worker rendered for the journal, not a second rendering. A cell whose
 //! trace ring overflowed gets one log line saying how many events were
 //! dropped; the artifacts do not change.
+//!
+//! The results JSON and the profiles are written on the calling thread.
+//! Each cell's trace and series are written and validated on the worker
+//! pool ([`parallel::run_indexed`], sized by `VMSIM_THREADS`), one job a
+//! cell; each job collects its log lines and failure count, and they are
+//! replayed in cell order, so the files, the log and the count are the
+//! same at any worker count.
 
 use std::path::{Path, PathBuf};
 
+use vmsim_config::ExperimentManifest;
 use vmsim_obs::{json, trace, PhaseProfile};
 
-use crate::driver::ManifestRun;
+use crate::driver::{CellRun, ManifestRun};
+use crate::parallel::{self, Parallelism};
 
 /// Outcome of writing one run's artifact set.
 pub struct ArtifactSet {
@@ -51,6 +60,18 @@ pub struct ArtifactSet {
 /// only decorates the "wrote results" log line; nothing in any artifact
 /// depends on it). Diagnostics and progress lines go through `log`.
 pub fn write_all(
+    run: &ManifestRun,
+    out_dir: &Path,
+    elapsed_secs: f64,
+    log: &mut dyn FnMut(&str),
+) -> ArtifactSet {
+    write_all_on(Parallelism::from_env(), run, out_dir, elapsed_secs, log)
+}
+
+/// [`write_all`] with the cells' trace and series written on a pool of
+/// `parallelism` workers.
+fn write_all_on(
+    parallelism: Parallelism,
     run: &ManifestRun,
     out_dir: &Path,
     elapsed_secs: f64,
@@ -132,53 +153,18 @@ pub fn write_all(
                 ));
             }
         }
-        for cell in &run.cells {
-            let (Some(jsonl), Some(csv)) = (cell.events_jsonl(), cell.series_csv()) else {
-                continue; // quarantined: no artifacts to write
-            };
-            let i = cell.index;
-            let trace_path = out_dir.join(format!("trace_{}_{i}.jsonl", manifest.name));
-            if let Err(e) = std::fs::write(&trace_path, jsonl) {
-                log(&format!("FAIL {}: cannot write: {e}", trace_path.display()));
-                failures += 1;
-            } else {
-                for (n, line) in jsonl.lines().enumerate() {
-                    if let Err(e) = json::validate(line) {
-                        log(&format!(
-                            "FAIL {}: line {} unparseable: {e:?}",
-                            trace_path.display(),
-                            n + 1
-                        ));
-                        failures += 1;
-                    }
-                }
+        let cells = parallel::run_indexed(parallelism, run.cells.len(), |k| {
+            let mut lines = Vec::new();
+            let failures = write_cell(manifest, &run.cells[k], out_dir, &mut |line| {
+                lines.push(line.to_string());
+            });
+            (lines, failures)
+        });
+        for (lines, cell_failures) in cells {
+            for line in &lines {
+                log(line);
             }
-            if let Some(o) = cell.observed().filter(|o| o.trace_dropped > 0) {
-                log(&format!(
-                    "vmsim: {}: the trace ring dropped {} earlier events and kept the \
-                     last {} (trace_capacity {})",
-                    trace_path.display(),
-                    o.trace_dropped,
-                    o.events.len(),
-                    manifest.obs.trace_capacity
-                ));
-            }
-            let series_path = out_dir.join(format!("series_{}_{i}.csv", manifest.name));
-            if let Err(e) = std::fs::write(&series_path, csv) {
-                log(&format!(
-                    "FAIL {}: cannot write: {e}",
-                    series_path.display()
-                ));
-                failures += 1;
-            }
-            // Fresh cells also verify the series' JSON rendering (replayed
-            // cells were verified when they originally ran).
-            if let Some(observed) = cell.observed() {
-                if let Err(e) = json::validate(&observed.series.to_json()) {
-                    log(&format!("FAIL series {}_{i}: {e:?}", manifest.name));
-                    failures += 1;
-                }
-            }
+            failures += cell_failures;
         }
     }
 
@@ -199,6 +185,65 @@ pub fn write_all(
         results_json: artifact,
         runs,
     }
+}
+
+/// Writes `cell`'s trace and series artifacts (a quarantined cell has
+/// none) and validates them, diagnosing through `log`. Returns the number
+/// of failures.
+fn write_cell(
+    manifest: &ExperimentManifest,
+    cell: &CellRun,
+    out_dir: &Path,
+    log: &mut dyn FnMut(&str),
+) -> u32 {
+    let (Some(jsonl), Some(csv)) = (cell.events_jsonl(), cell.series_csv()) else {
+        return 0;
+    };
+    let mut failures = 0;
+    let i = cell.index;
+    let trace_path = out_dir.join(format!("trace_{}_{i}.jsonl", manifest.name));
+    if let Err(e) = std::fs::write(&trace_path, jsonl) {
+        log(&format!("FAIL {}: cannot write: {e}", trace_path.display()));
+        failures += 1;
+    } else {
+        for (n, line) in jsonl.lines().enumerate() {
+            if let Err(e) = json::validate(line) {
+                log(&format!(
+                    "FAIL {}: line {} unparseable: {e:?}",
+                    trace_path.display(),
+                    n + 1
+                ));
+                failures += 1;
+            }
+        }
+    }
+    if let Some(o) = cell.observed().filter(|o| o.trace_dropped > 0) {
+        log(&format!(
+            "vmsim: {}: the trace ring dropped {} earlier events and kept the \
+             last {} (trace_capacity {})",
+            trace_path.display(),
+            o.trace_dropped,
+            o.events.len(),
+            manifest.obs.trace_capacity
+        ));
+    }
+    let series_path = out_dir.join(format!("series_{}_{i}.csv", manifest.name));
+    if let Err(e) = std::fs::write(&series_path, csv) {
+        log(&format!(
+            "FAIL {}: cannot write: {e}",
+            series_path.display()
+        ));
+        failures += 1;
+    }
+    // Fresh cells also verify the series' JSON rendering (replayed cells
+    // were verified when they originally ran).
+    if let Some(observed) = cell.observed() {
+        if let Err(e) = json::validate(&observed.series.to_json()) {
+            log(&format!("FAIL series {}_{i}: {e:?}", manifest.name));
+            failures += 1;
+        }
+    }
+    failures
 }
 
 #[cfg(test)]
@@ -283,6 +328,73 @@ mod tests {
             assert_eq!(trace, observed.events_jsonl());
             assert_eq!(trace.lines().count(), 64);
         }
+    }
+
+    /// What writing an artifact set produced: the failure count, the log
+    /// with the output directory masked, and every file in that directory
+    /// (name and bytes) in name order.
+    type Written = (u32, Vec<String>, Vec<(String, Vec<u8>)>);
+
+    /// Writes `run`'s artifact set into `dir` at `parallelism`.
+    fn write_at(parallelism: Parallelism, run: &ManifestRun, dir: &Path) -> Written {
+        let shown = dir.display().to_string();
+        let mut lines = Vec::new();
+        let set = write_all_on(parallelism, run, dir, 0.0, &mut |l| {
+            lines.push(l.replace(&shown, "<out>"));
+        });
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .map(|entries| {
+                entries
+                    .map(|e| {
+                        let e = e.expect("directory entry");
+                        let bytes = std::fs::read(e.path()).expect("artifact");
+                        (e.file_name().to_string_lossy().into_owned(), bytes)
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        files.sort();
+        (set.failures, lines, files)
+    }
+
+    /// Asserts that one and two workers write the same files, the same log
+    /// lines in the same order and the same failure count; returns that.
+    fn assert_pool_size_invariant(run: &ManifestRun, serial: &Path, pooled: &Path) -> Written {
+        let one = write_at(Parallelism::Serial, run, serial);
+        let two = write_at(Parallelism::Threads(2), run, pooled);
+        assert_eq!(one.0, two.0, "failure counts");
+        assert_eq!(one.1, two.1, "log lines");
+        let names = |w: &Written| w.2.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&one), names(&two), "file names");
+        assert!(one.2 == two.2, "file bytes differ");
+        one
+    }
+
+    #[test]
+    fn one_and_two_workers_write_the_same_artifacts_and_log() {
+        let mut manifest = builtin::smoke();
+        let clean = run_supervised(&manifest, &Supervisor::default()).expect("run");
+        let (failures, _, files) =
+            assert_pool_size_invariant(&clean, &scratch("serial"), &scratch("pooled"));
+        assert_eq!(failures, 0);
+        assert_eq!(files.len(), 5, "results plus two traces and two series");
+
+        manifest.obs.trace_capacity = 64;
+        let ring = run_supervised(&manifest, &Supervisor::default()).expect("run");
+        let (failures, lines, _) =
+            assert_pool_size_invariant(&ring, &scratch("serial-ring"), &scratch("pooled-ring"));
+        assert_eq!(failures, 0);
+        let drops = lines.iter().filter(|l| l.contains("dropped")).count();
+        assert_eq!(drops, 2, "one ring-overflow line per cell: {lines:?}");
+
+        let missing = |tag: &str| scratch(tag).join("does").join("not").join("exist");
+        let (failures, _, files) = assert_pool_size_invariant(
+            &clean,
+            &missing("serial-missing"),
+            &missing("pooled-missing"),
+        );
+        assert!(failures > 0);
+        assert!(files.is_empty());
     }
 
     #[test]

@@ -809,12 +809,16 @@ impl ManifestRun {
     /// The report for a run with quarantined cells: a per-cell status
     /// listing plus the supervisor summary.
     fn degraded_listing(&self) -> String {
+        let width = match &self.manifest.experiment {
+            ExperimentSpec::Matrix(matrix) => report::workload_column(matrix),
+            _ => 24,
+        };
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.manifest.description);
         let _ = writeln!(out, "supervised run completed with quarantined cells");
         let _ = writeln!(
             out,
-            "{:<24} {:<14} {:>6} {:<11} detail",
+            "{:<width$} {:<14} {:>6} {:<11} detail",
             "workload", "policy", "seed", "status"
         );
         self.for_each_cell(|workload, policy, seed, cell| {
@@ -827,7 +831,7 @@ impl ManifestRun {
             };
             let _ = writeln!(
                 out,
-                "{:<24} {:<14} {:>6} {:<11} {}",
+                "{:<width$} {:<14} {:>6} {:<11} {}",
                 workload.display_label(),
                 policy.name(),
                 seed,

@@ -31,21 +31,23 @@
 //! stay below 2^53; every simulator counter does by a wide margin.
 //!
 //! A traced cell's entry holds its whole trace as one escaped `events`
-//! string — several megabytes for a fleet cell. [`Journal::record`]
-//! streams the entry to the file through a 64 KiB buffer: the head is
-//! formatted, the trace and series are escaped straight from the cell's
-//! rendered text (the same text the artifact writer writes), and the
-//! checksum folds in each byte on its way out. Appending a cell therefore
-//! holds no copy of its entry in memory; a journal's own memory is that
-//! buffer plus the entries it replays. The checksum and the parser are both
-//! linear, so resuming a traced run takes time linear in the journal's
-//! size: a reduced colocation sweep's 46 MB journal replays in about a
-//! second on a 2-vCPU host.
+//! string — several megabytes for a fleet cell. [`Journal::record`] builds
+//! the whole entry line before it takes the file's lock: the head is
+//! formatted, the trace and series are escaped from the cell's rendered
+//! text (the same text the artifact writer writes), and the checksum is
+//! taken over the finished line. The lock then covers only the append, so
+//! cells finishing together escape and checksum their entries at once
+//! instead of queueing behind each other's. Each in-flight cell holds one
+//! entry line, dropped right after its append; a journal's other memory is
+//! the entries it replays. The checksum and the parser are both linear, so
+//! resuming a traced run takes time linear in the journal's size: a
+//! reduced colocation sweep's 46 MB journal replays in about a second on a
+//! 2-vCPU host.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{self, BufWriter, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -60,9 +62,6 @@ use crate::scenario::RunMetrics;
 /// added the per-entry `"crc"` checksum; version-1 journals are rejected
 /// on resume (their entries carry no integrity proof).
 pub const JOURNAL_VERSION: u64 = 2;
-
-/// Size of the buffer an entry streams through on its way to the file.
-const SINK_BUFFER: usize = 64 << 10;
 
 /// The FNV-1a 64-bit offset basis: the hash of no bytes.
 const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -114,35 +113,16 @@ pub struct JournalEntry {
 
 #[derive(Debug)]
 struct Sink {
-    file: Option<BufWriter<File>>,
+    file: Option<File>,
     error: Option<String>,
 }
 
 impl Sink {
     fn open(file: File) -> Mutex<Sink> {
         Mutex::new(Sink {
-            file: Some(BufWriter::with_capacity(SINK_BUFFER, file)),
+            file: Some(file),
             error: None,
         })
-    }
-}
-
-/// Passes writes through to `inner`, folding every byte written into an
-/// FNV-1a hash.
-struct Fnv1aWriter<'a, W> {
-    inner: &'a mut W,
-    hash: u64,
-}
-
-impl<W: io::Write> io::Write for Fnv1aWriter<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hash = fnv1a_extend(self.hash, &buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -150,9 +130,10 @@ impl<W: io::Write> io::Write for Fnv1aWriter<'_, W> {
 ///
 /// `lookup` serves completed cells to the driver; `record` appends newly
 /// completed ones. Appends happen from pool workers (the whole point is
-/// surviving a kill mid-matrix), so the file handle sits behind a mutex;
-/// I/O errors are latched and surfaced once via [`Journal::io_error`]
-/// rather than failing the run.
+/// surviving a kill mid-matrix), so the file handle sits behind a mutex
+/// that each append holds only while it writes its finished line; I/O
+/// errors are latched and surfaced once via [`Journal::io_error`] rather
+/// than failing the run.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -284,8 +265,10 @@ impl Journal {
         self.entries.get(&key)
     }
 
-    /// Appends a completed cell. Called from pool workers; the first I/O
-    /// error closes the sink and is reported by [`Journal::io_error`].
+    /// Appends a completed cell. Called from pool workers: the entry line
+    /// is built before the file's lock is taken, so concurrent calls only
+    /// queue for the append itself. The first I/O error closes the sink
+    /// and is reported by [`Journal::io_error`].
     pub fn record(
         &self,
         index: u64,
@@ -295,6 +278,10 @@ impl Journal {
         attempts: u32,
         cell: &FreshCell,
     ) {
+        if self.io_error().is_some() {
+            // A failed journal takes no more entries: build none.
+            return;
+        }
         let key = cell_key(self.hash, index, seed);
         let mut head = String::with_capacity(1024);
         let _ = write!(
@@ -305,15 +292,13 @@ impl Journal {
         );
         crate::driver::run_json(&mut head, workload, policy, seed, &cell.run.metrics);
         head.push_str(", \"events\": ");
+        let line = entry_line(&head, &cell.events_jsonl, &cell.series_csv);
 
         let mut sink = self.sink.lock().expect("journal sink poisoned");
-        if sink.error.is_some() {
-            return;
-        }
         let Some(file) = sink.file.as_mut() else {
             return;
         };
-        if let Err(e) = write_entry(file, &head, cell) {
+        if let Err(e) = file.write_all(line.as_bytes()) {
             sink.error = Some(format!("{}: {e}", self.path.display()));
             sink.file = None;
         }
@@ -330,22 +315,22 @@ impl Journal {
     }
 }
 
-/// Streams one entry line: `head` (everything up to the `events` value),
-/// the escaped trace and series, then the crc field. The crc is FNV-1a
-/// over everything before `, "crc"`, folded in as the bytes are written,
-/// so resume can tell a tampered-but-parseable line from a genuine one.
-fn write_entry(file: &mut BufWriter<File>, head: &str, cell: &FreshCell) -> io::Result<()> {
-    let mut out = Fnv1aWriter {
-        inner: file,
-        hash: FNV1A_BASIS,
-    };
-    out.write_all(head.as_bytes())?;
-    json::write_str_to(&mut out, &cell.events_jsonl)?;
-    out.write_all(b", \"series\": ")?;
-    json::write_str_to(&mut out, &cell.series_csv)?;
-    let crc = out.hash;
-    writeln!(file, ", \"crc\": \"{crc:016x}\"}}")?;
-    file.flush()
+/// Builds one entry line: `head` (everything up to the `events` value),
+/// the escaped trace and series, then the crc field and the newline. The
+/// crc is FNV-1a over everything before `, "crc"`, so resume can tell a
+/// tampered-but-parseable line from a genuine one.
+pub(crate) fn entry_line(head: &str, events_jsonl: &str, series_csv: &str) -> String {
+    // Escaping a trace adds about a fifth to its length (the quotes and
+    // the newline of each event); a short guess costs one reallocation.
+    let text = events_jsonl.len() + series_csv.len();
+    let mut line = String::with_capacity(head.len() + text + text / 4 + 64);
+    line.push_str(head);
+    json::write_str(&mut line, events_jsonl);
+    line.push_str(", \"series\": ");
+    json::write_str(&mut line, series_csv);
+    let crc = fnv1a(line.as_bytes());
+    let _ = writeln!(line, ", \"crc\": \"{crc:016x}\"}}");
+    line
 }
 
 fn header(name: &str, hash: u64) -> String {
@@ -533,6 +518,68 @@ mod tests {
             text == expected,
             "streamed entry differs from the reference"
         );
+    }
+
+    #[test]
+    fn concurrent_records_write_the_lines_serial_records_write() {
+        let dir = scratch("concurrent");
+        let manifest = builtin::smoke();
+        let seed = manifest.seeds[0];
+        let cell = smoke_cell();
+
+        let serial = dir.join("serial.jsonl");
+        let journal = Journal::create(&serial, &manifest).expect("create");
+        for index in [0, 1] {
+            journal.record(index, "gcc", "buddy", seed, 1, &cell);
+        }
+        drop(journal);
+
+        // Both records build their entries at once and race for the file.
+        let path = dir.join("concurrent.jsonl");
+        let journal = Journal::create(&path, &manifest).expect("create");
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for index in [0, 1] {
+                let (journal, barrier, cell) = (&journal, &barrier, &cell);
+                s.spawn(move || {
+                    barrier.wait();
+                    journal.record(index, "gcc", "buddy", seed, 1, cell);
+                });
+            }
+        });
+        assert!(journal.io_error().is_none());
+        drop(journal);
+
+        let sorted_lines = |path: &Path| {
+            let text = std::fs::read_to_string(path).expect("read journal");
+            assert!(text.ends_with('\n'));
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            lines.sort();
+            lines
+        };
+        let lines = sorted_lines(&path);
+        assert_eq!(lines.len(), 3, "the header and two entries");
+        assert!(
+            lines == sorted_lines(&serial),
+            "concurrent records differ from serial ones"
+        );
+        let entries: Vec<&String> = lines.iter().filter(|l| l.starts_with("{\"key\"")).collect();
+        assert_eq!(entries.len(), 2);
+        assert!(entries.iter().all(|line| entry_crc_valid(line)));
+
+        let resumed = Journal::resume(&path, &manifest).expect("resume");
+        assert_eq!(resumed.completed(), 2);
+        for index in [0, 1] {
+            let entry = resumed
+                .lookup(cell_key(manifest_hash(&manifest), index, seed))
+                .expect("entry present");
+            assert_eq!(entry.metrics, cell.run.metrics);
+            assert!(
+                entry.events_jsonl == cell.events_jsonl,
+                "events text differs"
+            );
+            assert_eq!(entry.series_csv, cell.series_csv);
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! order**, so output is bit-identical to a serial run regardless of thread
 //! count or scheduling. Workers claim job indices from a shared atomic
 //! counter, tag each result with its index, and the pool reassembles the
-//! results by index after the scope joins.
+//! results by index after the scope joins. The calling thread is one of
+//! the workers, so a pool of `n` spawns `n - 1` threads: a long-running
+//! `vmsim serve` starts fewer short-lived threads per job, and its
+//! allocator spreads each job's large buffers over fewer per-thread arenas.
 //!
 //! Joins are **supervised**: each job runs under `catch_unwind`, so a
 //! panicking job surfaces as a typed [`JobPanic`] in its result slot
@@ -106,23 +109,22 @@ where
         return (0..jobs).map(supervised).collect();
     }
     let next = AtomicUsize::new(0);
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                break;
+            }
+            local.push((i, supervised(i)));
+        }
+        local
+    };
     let mut tagged: Vec<(usize, Result<R, JobPanic>)> = Vec::with_capacity(jobs);
     crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|_| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break;
-                        }
-                        local.push((i, supervised(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(|_| work())).collect();
+        // The calling thread is the first worker.
+        tagged.extend(work());
         for handle in handles {
             // Jobs are caught individually, so a worker thread itself can
             // only die on catastrophic failure (e.g. stack overflow, which

@@ -249,11 +249,22 @@ pub fn run_kernels() -> Vec<Kernel> {
 
     // json_parse_journal_entry: `vmsim run --resume` parses every entry
     // line of the journal; a traced cell's line carries its whole trace.
-    let line = journal_entry_line();
+    let events = trace::to_jsonl(&kernel_events());
+    let line = journal_entry_line(&events);
     out.push(Kernel {
         name: "json_parse_journal_entry",
         ns_per_op: median_ns_per_op(10, || {
             std::hint::black_box(json::parse(&line).expect("journal line parses"));
+        }),
+    });
+
+    // journal_entry_build: what `Journal::record` does before it takes the
+    // journal file's lock: escape a traced cell's trace and series into
+    // its entry line and checksum the line.
+    out.push(Kernel {
+        name: "journal_entry_build",
+        ns_per_op: median_ns_per_op(10, || {
+            std::hint::black_box(journal_entry_line(std::hint::black_box(&events)));
         }),
     });
 
@@ -306,12 +317,11 @@ fn kernel_events() -> Vec<Event> {
     events
 }
 
-/// A fixed run-journal entry line, in the shape `Journal::record` writes,
-/// whose `events` string holds [`kernel_events`] rendered as JSONL.
-fn journal_entry_line() -> String {
-    let events = trace::to_jsonl(&kernel_events());
-    let mut line = String::from(
-        "{\"key\": \"0123456789abcdef\", \"cell\": 0, \"attempts\": 1, \
+/// A fixed run-journal entry line, built by `journal::entry_line` as
+/// `Journal::record` builds one, whose `events` string holds `events`
+/// (the trace kernels use [`kernel_events`] rendered as JSONL).
+fn journal_entry_line(events: &str) -> String {
+    const HEAD: &str = "{\"key\": \"0123456789abcdef\", \"cell\": 0, \"attempts\": 1, \
          \"truncated\": false, \"run\": {\"workload\": \"8 VMs\", \"policy\": \"default\", \
          \"seed\": 0, \"benchmark\": \"gcc\", \"allocator\": \"default\", \
          \"measure_ops\": 20000, \"cycles\": 592626, \"tlb_lookups\": 80000, \
@@ -322,14 +332,9 @@ fn journal_entry_line() -> String {
          \"guest_frag\": 1.0, \"init_cycles\": 70216418, \"footprint_pages\": 6144, \
          \"reserved_unused_peak\": 0, \"reserved_unused_mean\": 0.0, \
          \"total_faults\": 49152, \"reservation_fallbacks\": 0, \"reclaimed_frames\": 0, \
-         \"faults_injected\": 0}, \"events\": ",
-    );
-    json::write_str(&mut line, &events);
-    line.push_str(", \"series\": ");
-    json::write_str(&mut line, "op,host.free_frames\n0,1024\n20000,512\n");
-    let crc = crate::journal::fnv1a(line.as_bytes());
-    let _ = write!(line, ", \"crc\": \"{crc:016x}\"}}");
-    line
+         \"faults_injected\": 0}, \"events\": ";
+    const SERIES: &str = "op,host.free_frames\n0,1024\n20000,512\n";
+    crate::journal::entry_line(HEAD, events, SERIES)
 }
 
 /// The lock-free PaRT kernel grid: (name, threads, contended).
@@ -768,14 +773,15 @@ mod tests {
 
     #[test]
     fn kernel_journal_line_is_a_traced_journal_entry() {
-        let line = journal_entry_line();
+        let rendered = trace::to_jsonl(&kernel_events());
+        let line = journal_entry_line(&rendered);
         let doc = json::parse(&line).expect("parses");
         let events = doc
             .get("events")
             .and_then(json::Json::as_str)
             .expect("events");
         assert!(events.len() >= 1 << 20 && events.lines().count() > 10_000);
-        assert_eq!(events, trace::to_jsonl(&kernel_events()));
+        assert_eq!(events, rendered);
         assert_eq!(
             doc.get("crc").and_then(json::Json::as_str).map(str::len),
             Some(16)

@@ -128,12 +128,22 @@ pub fn render(manifest: &ExperimentManifest, runs: &[RunMetrics]) -> String {
     }
 }
 
+/// Width of the workload column in the per-cell listings: the longest
+/// workload label, and at least 24 characters.
+pub(crate) fn workload_column(spec: &MatrixSpec) -> usize {
+    spec.workloads
+        .iter()
+        .map(|w| w.display_label().chars().count())
+        .fold(24, usize::max)
+}
+
 /// Generic per-run listing: one line per cell.
 fn runs_listing(m: &Matrix<'_>) -> String {
+    let width = workload_column(m.spec);
     let mut out = format!("{}\n", m.manifest.description);
     let _ = writeln!(
         out,
-        "{:<24} {:<14} {:>6} {:>14} {:>10}",
+        "{:<width$} {:<14} {:>6} {:>14} {:>10}",
         "workload", "policy", "seed", "cycles", "host-frag"
     );
     for (w, workload) in m.spec.workloads.iter().enumerate() {
@@ -142,7 +152,7 @@ fn runs_listing(m: &Matrix<'_>) -> String {
                 let r = m.at(w, p, s);
                 let _ = writeln!(
                     out,
-                    "{:<24} {:<14} {:>6} {:>14} {:>10.3}",
+                    "{:<width$} {:<14} {:>6} {:>14} {:>10.3}",
                     workload.display_label(),
                     m.policy(p),
                     seed,
@@ -835,6 +845,22 @@ mod tests {
         assert!(s.contains("+9.0%"));
         assert!(s.contains("Geomean"));
         assert!(s.contains('█'));
+    }
+
+    #[test]
+    fn runs_listing_widens_its_workload_column_to_the_longest_label() {
+        const LABEL: &str = "cc+objdet+chameleon+pyaes+json_serdes+rnn_serving+gcc(co)+xz(co)";
+        let mut smoke = builtin::smoke();
+        let ExperimentSpec::Matrix(spec) = &mut smoke.experiment else {
+            unreachable!("smoke is a matrix");
+        };
+        spec.workloads[0].label = Some(LABEL.to_string());
+        let s = render(&smoke, &[metrics(100_000, 2.0), metrics(96_000, 1.0)]);
+        let lines: Vec<&str> = s.lines().collect();
+        let header = format!("{:<width$} policy ", "workload", width = LABEL.len());
+        assert!(lines[1].starts_with(&header), "{s}");
+        assert!(lines[2].starts_with(&format!("{LABEL} default ")), "{s}");
+        assert!(lines[3].starts_with(&format!("{LABEL} ptemagnet ")), "{s}");
     }
 
     #[test]

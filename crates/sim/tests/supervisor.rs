@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use vmsim_config::{builtin, ChaosPlan, ExperimentManifest, SupervisorSpec};
+use vmsim_config::{builtin, ChaosPlan, ExperimentManifest, ExperimentSpec, SupervisorSpec};
 use vmsim_sim::driver::{run_manifest, run_supervised, Supervisor};
 use vmsim_sim::{Journal, RunMetrics};
 
@@ -207,4 +207,50 @@ fn degraded_runs_are_deterministic_across_repetitions() {
     assert_eq!(a.results_json(), b.results_json());
     assert_eq!(a.report(), b.report());
     assert_eq!(a.supervisor_events, b.supervisor_events);
+}
+
+/// A workload label longer than the listing's 24-character minimum (this
+/// Figure 7 combination label has 64) widens the workload column, so every
+/// row's policy, seed and status stay under their headers.
+#[test]
+fn degraded_listing_widens_the_workload_column_to_the_longest_label() {
+    const LABEL: &str = "cc+objdet+chameleon+pyaes+json_serdes+rnn_serving+gcc(co)+xz(co)";
+    let mut manifest = test_manifest();
+    let ExperimentSpec::Matrix(matrix) = &mut manifest.experiment else {
+        unreachable!("smoke is a matrix");
+    };
+    matrix.workloads[0].label = Some(LABEL.to_string());
+    let sup = Supervisor {
+        journal: None,
+        chaos: Some(ChaosPlan {
+            cell: 1,
+            fail_attempts: None,
+        }),
+        progress: None,
+    };
+    let run = run_supervised(&manifest, &sup).expect("degraded run");
+    let report = run.report();
+    let lines: Vec<&str> = report.lines().collect();
+    assert_eq!(
+        lines[2],
+        format!(
+            "{:<width$} {:<14} {:>6} {:<11} detail",
+            "workload",
+            "policy",
+            "seed",
+            "status",
+            width = LABEL.len()
+        )
+    );
+    let rows = [
+        ("default", 0, "ok"),
+        ("default", 7, "failed"),
+        ("ptemagnet", 0, "ok"),
+        ("ptemagnet", 7, "ok"),
+    ];
+    for (line, (policy, seed, status)) in lines[3..].iter().zip(rows) {
+        let columns = format!("{LABEL} {policy:<14} {seed:>6} {status:<11} ");
+        assert!(line.starts_with(&columns), "{line:?} is out of line");
+    }
+    assert_eq!(lines.len(), 3 + rows.len() + 2, "{report}");
 }
